@@ -542,8 +542,10 @@ func (echoProtector) Protect(t trace.Trace) (core.Result, error) {
 }
 
 // BenchmarkServerUploadParallel drives concurrent synchronous uploads
-// from distinct users through the full HTTP path: each user hashes to
-// its own state shard and the worker pool bounds the engine fan-out.
+// from distinct users through the full HTTP path, one chunk per
+// request (a one-line /v2/traces batch): each user hashes to its own
+// state shard and the worker pool bounds the engine fan-out. It is the
+// per-request baseline BenchmarkServerUploadBatchV2 amortizes.
 func BenchmarkServerUploadParallel(b *testing.B) {
 	srv, err := service.New(echoProtector{},
 		service.WithQueueDepth(1024), service.WithRateLimit(0, 0))
@@ -564,10 +566,15 @@ func BenchmarkServerUploadParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		c := service.NewClient(hs.URL)
-		t := trace.New(fmt.Sprintf("bench-user-%d", uid.Add(1)), records)
+		chunk := []service.BatchChunk{{User: fmt.Sprintf("bench-user-%d", uid.Add(1)), Records: records}}
 		for pb.Next() {
-			if _, err := c.Upload(t); err != nil {
+			results, err := c.UploadBatch(chunk)
+			if err != nil {
 				b.Error(err)
+				return
+			}
+			if results[0].Status != 200 {
+				b.Errorf("upload: %d %s", results[0].Status, results[0].Error)
 				return
 			}
 		}

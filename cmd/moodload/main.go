@@ -13,12 +13,13 @@
 // With no -target, moodload self-hosts the server in-process: the
 // workload's background half trains the real MooD engine (-engine mood,
 // the default) or a pass-through echo engine (-engine echo, for
-// high-rate soaks of the service tier alone). The drift-retrain
-// scenario wires the same retrainer cmd/moodserver uses; the restart
-// scenario snapshots, closes and reboots the server in the middle of a
-// round; the crash scenario runs the server over a write-ahead log and
-// kills it mid-round without drain or snapshot — the reboot must
-// replay every acknowledged upload from the log; and the cluster
+// high-rate soaks of the service tier alone). The self-hosted server
+// runs over a write-ahead log. The drift-retrain scenario wires the
+// same retrainer cmd/moodserver uses; the restart scenario gracefully
+// closes the server in the middle of a round and reboots it from its
+// log; the crash scenario kills it mid-round without drain or
+// checkpoint — the reboot must replay every acknowledged upload from
+// the log; and the cluster
 // scenario self-hosts three WAL nodes behind the rendezvous router,
 // kills one mid-round, holds it down until the health checker evicts
 // it from the ring, and reboots it under traffic — the report gains a
@@ -154,10 +155,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 // Self-hosted server with restart support.
 
 // selfHost is a loadgen.Host (the shared teardown → reboot → swap
-// machinery) bound to a real listener and a temp state directory.
-// reboot is the scenario's mid-round callback: Restart (drain +
-// snapshot) for the restart scenario, Crash (hard kill + WAL replay)
-// for the crash scenario.
+// machinery) bound to a real listener and a temp WAL directory.
+// reboot is the scenario's mid-round callback: Restart (drain + final
+// checkpoint + WAL replay) for the restart scenario, Crash (hard kill +
+// WAL replay) for the crash scenario.
 type selfHost struct {
 	url      string
 	hs       *http.Server
@@ -175,25 +176,16 @@ func newSelfHost(cfg loadgen.Config, w loadgen.Workload, engine string) (*selfHo
 	if err != nil {
 		return nil, err
 	}
-	var host *loadgen.Host
-	if cfg.Scenario == "crash" {
-		// Crash drills run over a write-ahead log: every ack is durable
-		// before it leaves the server, so the hard kill may lose nothing.
-		host, err = loadgen.NewWALHost(func(st store.Store) (*service.Server, error) {
-			return service.New(protector,
-				service.WithRetrainer(retrainer, 0),
-				service.WithAuthToken(cfg.AuthToken),
-				service.WithStore(st),
-			)
-		}, filepath.Join(dir, "wal"), nil)
-	} else {
-		host, err = loadgen.NewHost(func() (*service.Server, error) {
-			return service.New(protector,
-				service.WithRetrainer(retrainer, 0),
-				service.WithAuthToken(cfg.AuthToken),
-			)
-		}, filepath.Join(dir, "state.json"))
-	}
+	// Every self-hosted server runs over a write-ahead log: every ack is
+	// durable before it leaves the server, so a hard kill may lose
+	// nothing and a graceful restart replays exactly what was acked.
+	host, err := loadgen.NewWALHost(func(st store.Store) (*service.Server, error) {
+		return service.New(protector,
+			service.WithRetrainer(retrainer, 0),
+			service.WithAuthToken(cfg.AuthToken),
+			service.WithStore(st),
+		)
+	}, filepath.Join(dir, "wal"), nil)
 	if err != nil {
 		os.RemoveAll(dir) //mood:allow persistio -- bench scratch dir teardown: the self-hosted server's state dir is ephemeral, not server state
 		return nil, err

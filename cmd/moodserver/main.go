@@ -1,6 +1,5 @@
 // Command moodserver runs the crowd-sensing middleware: participants
-// stream daily mobility chunks to POST /v2/traces (NDJSON batches;
-// the deprecated single-chunk POST /v1/upload shim stays mounted) and
+// stream daily mobility chunks to POST /v2/traces (NDJSON batches) and
 // only protected, pseudonymised fragments are admitted to the
 // cursor-paginated GET /v2/dataset. The server is self-describing:
 // GET /v2/openapi.json serves an OpenAPI document generated from the
@@ -9,8 +8,7 @@
 // Usage:
 //
 //	moodserver -background bg.csv [-addr :8080] [-seed 42] [-greedy]
-//	           [-token T] [-state snapshot.json]
-//	           [-store json|wal] [-wal-dir DIR] [-fsync always|group]
+//	           [-token T] [-wal-dir DIR] [-fsync always|group]
 //	           [-rate 0] [-burst 10] [-queue 64] [-workers 0]
 //	           [-request-timeout 2m]
 //	           [-retrain-interval 0] [-history-cap 50000] [-node-id n00]
@@ -28,14 +26,14 @@
 // pass can be triggered on demand with POST /v2/admin/retrain (always
 // available, behind -token when set).
 //
-// Durability: -state snapshots through the json store (loaded at
-// startup, checkpointed periodically with retry + backoff, flushed on
-// shutdown); -wal-dir switches to a segmented append-only write-ahead
-// log where, under -fsync=always, every upload is on stable storage
-// before it is acknowledged — a crash at ANY point (power loss, kill
-// -9) loses zero acked uploads, and reboot replays the log. -fsync=
-// group trades one fsync per upload for batched group commit. Either
-// way /v2/stats surfaces the checkpoint health.
+// Durability: -wal-dir keeps the server's state in a segmented
+// append-only write-ahead log where, under -fsync=always, every upload
+// is on stable storage before it is acknowledged — a crash at ANY point
+// (power loss, kill -9) loses zero acked uploads, and reboot replays
+// the log. A background checkpoint compacts the log into a snapshot
+// (with retry + backoff) and /v2/stats surfaces its health. -fsync=
+// group trades one fsync per upload for batched group commit. Without
+// -wal-dir the server keeps its state in memory only.
 //
 // Clustering: behind cmd/moodrouter each node runs with a stable
 // -node-id and its own WAL. The router stamps every forwarded request
@@ -45,8 +43,8 @@
 // silent misroute across two nodes' state.
 //
 // The server also shuts down gracefully on SIGINT/SIGTERM: in-flight
-// requests finish, the upload queue drains, and a final checkpoint is
-// flushed so no accepted upload is lost even without a WAL.
+// requests finish, the upload queue drains, and a final checkpoint
+// compacts the log so the next boot replays little.
 package main
 
 import (
@@ -87,16 +85,14 @@ func runCtx(ctx context.Context, args []string) error {
 	greedy := fs.Bool("greedy", false, "use the heuristic composition search")
 	delta := fs.Duration("delta", 0, "fine-grained stop threshold (default 4h)")
 	token := fs.String("token", "", "require this bearer token on every API call")
-	statePath := fs.String("state", "", "snapshot file: loaded at startup if present, saved periodically and on shutdown")
-	storeKind := fs.String("store", "", `durability backend: "json" (snapshot at -state) or "wal" (log at -wal-dir); default infers from which path flag is set`)
-	walDir := fs.String("wal-dir", "", "write-ahead log directory (implies -store=wal)")
+	walDir := fs.String("wal-dir", "", "write-ahead log directory (empty = in-memory state only)")
 	fsync := fs.String("fsync", "always", `WAL sync policy: "always" (fsync before every ack) or "group" (batched group commit)`)
 	rate := fs.Float64("rate", 0, "per-user rate limit in requests/second (0 = unlimited)")
 	burst := fs.Int("burst", 10, "per-user rate-limit burst")
-	queue := fs.Int("queue", 64, "upload queue depth (full queue answers 503)")
+	queue := fs.Int("queue", 64, "upload queue depth (a full queue makes uploads wait)")
 	workers := fs.Int("workers", 0, "upload worker-pool size (0 = GOMAXPROCS)")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request timeout (negative disables)")
-	retrainInterval := fs.Duration("retrain-interval", 0, "periodic attack retraining + re-audit (0 = only on POST /v1/admin/retrain)")
+	retrainInterval := fs.Duration("retrain-interval", 0, "periodic attack retraining + re-audit (0 = only on POST /v2/admin/retrain)")
 	historyCap := fs.Int("history-cap", 0, "per-user raw history the retrainer learns from, in records (0 = default 50000, negative disables)")
 	nodeID := fs.String("node-id", "", "stable cluster node identity (required behind moodrouter; enables the misroute tripwire and the stats node section)")
 	if err := fs.Parse(args); err != nil {
@@ -105,7 +101,7 @@ func runCtx(ctx context.Context, args []string) error {
 	if *background == "" {
 		return fmt.Errorf("-background is required")
 	}
-	st, err := buildStore(*storeKind, *statePath, *walDir, *fsync)
+	st, err := buildStore(*walDir, *fsync)
 	if err != nil {
 		return err
 	}
@@ -126,7 +122,7 @@ func runCtx(ctx context.Context, args []string) error {
 		return err
 	}
 	// One clock feeds every time-dependent layer (rate limiter,
-	// idempotency TTL, retrain ticker, snapshot loop), so an embedder
+	// idempotency TTL, retrain ticker, checkpoint loop), so an embedder
 	// swapping in a clock.Manual steps the whole server coherently.
 	clk := clock.System()
 	svcOpts := []service.Option{
@@ -202,38 +198,17 @@ func runCtx(ctx context.Context, args []string) error {
 	return shutdownErr
 }
 
-// buildStore maps the durability flags onto a store backend. No path
-// flag means no durability (a purely in-memory server, as before the
-// store existed).
-func buildStore(kind, statePath, walDir, fsync string) (store.Store, error) {
-	if kind == "" {
-		switch {
-		case walDir != "":
-			kind = "wal"
-		case statePath != "":
-			kind = "json"
-		default:
-			return nil, nil
-		}
+// buildStore maps the durability flags onto the write-ahead log. No
+// -wal-dir means no durability (a purely in-memory server).
+func buildStore(walDir, fsync string) (store.Store, error) {
+	if walDir == "" {
+		return nil, nil
 	}
-	switch kind {
-	case "json":
-		if statePath == "" {
-			return nil, fmt.Errorf("-store=json requires -state")
-		}
-		return store.NewJSONFile(statePath, nil), nil
-	case "wal":
-		if walDir == "" {
-			return nil, fmt.Errorf("-store=wal requires -wal-dir")
-		}
-		mode, err := store.ParseFsyncMode(fsync)
-		if err != nil {
-			return nil, err
-		}
-		return store.NewWAL(store.WALOptions{Dir: walDir, Fsync: mode})
-	default:
-		return nil, fmt.Errorf("unknown -store %q (use \"json\" or \"wal\")", kind)
+	mode, err := store.ParseFsyncMode(fsync)
+	if err != nil {
+		return nil, err
 	}
+	return store.NewWAL(store.WALOptions{Dir: walDir, Fsync: mode})
 }
 
 // writeTimeout leaves the handler-side timeout room to answer before

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"mood"
 	"mood/internal/service"
+	"mood/internal/store"
 	"mood/internal/synth"
 	"mood/internal/traceio"
 )
@@ -20,9 +22,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{},                                    // missing -background
 		{"-background", "/nonexistent.csv"},   // unreadable file
 		{"-background", "/dev/null", "-addr"}, // broken flag
-		{"-background", "/dev/null", "-store", "json"},                              // -store=json without -state
-		{"-background", "/dev/null", "-store", "wal"},                               // -store=wal without -wal-dir
-		{"-background", "/dev/null", "-store", "bogus"},                             // unknown backend
+		{"-background", "/dev/null", "-state", "s.json"},                            // retired snapshot flag
+		{"-background", "/dev/null", "-store", "wal"},                               // retired backend flag
 		{"-background", "/dev/null", "-wal-dir", os.DevNull, "-fsync", "sometimes"}, // bad fsync mode
 	}
 	for _, args := range tests {
@@ -74,10 +75,10 @@ func TestServerServesAfterStartup(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownFlushesState is the regression test for the
-// snapshot-loss bug: before graceful shutdown existed, any upload
-// accepted since the last minute-tick snapshot was lost on SIGTERM.
-// Now cancelling the server must flush a final snapshot to -state.
+// TestGracefulShutdownFlushesState pins the graceful shutdown path:
+// cancelling the server drains the queue and installs a final
+// checkpoint in -wal-dir that covers every accepted upload, so the next
+// boot replays a snapshot instead of the whole log.
 func TestGracefulShutdownFlushesState(t *testing.T) {
 	cfg := synth.PrivamovLike(synth.ScaleTiny, 33)
 	cfg.NumUsers = 4
@@ -87,7 +88,7 @@ func TestGracefulShutdownFlushesState(t *testing.T) {
 	if err := traceio.SaveCSVFile(bg, d); err != nil {
 		t.Fatal(err)
 	}
-	statePath := filepath.Join(t.TempDir(), "state.json")
+	walDir := filepath.Join(t.TempDir(), "wal")
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -100,7 +101,7 @@ func TestGracefulShutdownFlushesState(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		errc <- runCtx(ctx, []string{"-background", bg, "-addr", addr, "-state", statePath})
+		errc <- runCtx(ctx, []string{"-background", bg, "-addr", addr, "-wal-dir", walDir})
 	}()
 
 	c := service.NewClient("http://" + addr)
@@ -116,10 +117,8 @@ func TestGracefulShutdownFlushesState(t *testing.T) {
 	}
 
 	// One upload, then immediate shutdown: well inside the one-minute
-	// periodic snapshot window, so only the final flush can save it.
-	if _, err := c.Upload(d.Traces[0].Chunks(24 * time.Hour)[0]); err != nil {
-		t.Fatal(err)
-	}
+	// periodic checkpoint window, so only the final flush can cover it.
+	uploadChunk(t, c, d.Traces[0].Chunks(24 * time.Hour)[0])
 	cancel()
 	select {
 	case err := <-errc:
@@ -130,23 +129,44 @@ func TestGracefulShutdownFlushesState(t *testing.T) {
 		t.Fatal("server did not shut down")
 	}
 
-	data, err := os.ReadFile(statePath)
+	w, err := store.NewWAL(store.WALOptions{Dir: walDir})
 	if err != nil {
-		t.Fatalf("no final snapshot written: %v", err)
+		t.Fatal(err)
+	}
+	defer w.Close()
+	data, recs, err := w.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("final checkpoint left %d log records uncovered", len(recs))
 	}
 	var state struct {
 		Stats service.ServerStats `json:"stats"`
 	}
 	if err := json.Unmarshal(data, &state); err != nil {
-		t.Fatal(err)
+		t.Fatalf("no final snapshot written: %v", err)
 	}
 	if state.Stats.Uploads < 1 {
 		t.Fatalf("snapshot lost the upload: %+v", state.Stats)
 	}
 }
 
+// uploadChunk sends one chunk as a one-line batch and requires it to be
+// protected and published.
+func uploadChunk(t *testing.T, c *service.Client, chunk mood.Trace) {
+	t.Helper()
+	res, err := c.UploadBatch([]service.BatchChunk{{User: chunk.User, Records: chunk.Records}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Status != http.StatusOK {
+		t.Fatalf("upload: %+v", res[0])
+	}
+}
+
 // TestAdminRetrainEndToEnd drives the dynamic-protection wiring through
-// the real binary: upload raw chunks, trigger POST /v1/admin/retrain,
+// the real binary: upload raw chunks, trigger POST /v2/admin/retrain,
 // and check the server rebuilt its attacks on background + history,
 // re-audited the published dataset, and kept serving uploads.
 func TestAdminRetrainEndToEnd(t *testing.T) {
@@ -191,9 +211,7 @@ func TestAdminRetrainEndToEnd(t *testing.T) {
 	}
 
 	chunk := d.Traces[0].Chunks(24 * time.Hour)[0]
-	if _, err := c.Upload(chunk); err != nil {
-		t.Fatal(err)
-	}
+	uploadChunk(t, c, chunk)
 
 	report, err := c.Retrain()
 	if err != nil {
@@ -212,9 +230,7 @@ func TestAdminRetrainEndToEnd(t *testing.T) {
 	}
 
 	// The swapped engine keeps serving.
-	if _, err := c.Upload(d.Traces[1].Chunks(24 * time.Hour)[0]); err != nil {
-		t.Fatalf("upload after retrain: %v", err)
-	}
+	uploadChunk(t, c, d.Traces[1].Chunks(24 * time.Hour)[0])
 
 	cancel()
 	select {

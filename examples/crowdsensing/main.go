@@ -17,6 +17,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"time"
 
@@ -60,12 +61,12 @@ func main() {
 	provenance := map[string]string{} // pseudonym -> true participant
 	seen := map[string]bool{}
 	for i, participant := range campaign.Traces {
-		// Most phones stream their backlog of daily chunks as one
+		// Every phone streams its backlog of daily chunks as one
 		// /v2/traces NDJSON batch — one connection, one rate-limit
-		// check, per-chunk results. Odd participants use the per-chunk
-		// asynchronous path instead: a 202 + job ID immediately and a
-		// poll for the outcome, as a battery-conscious client on the
-		// legacy v1 surface would.
+		// check, per-chunk results. Odd participants mark their chunks
+		// "async": each result line carries a 202 + job handle at once
+		// and the phone polls for the outcomes, as a battery-conscious
+		// client that cannot hold the connection open would.
 		var resps []service.UploadResponse
 		var err error
 		if i%2 == 1 {
@@ -129,9 +130,9 @@ func main() {
 		log.Fatal(err)
 	}
 	batch := snap.Routes["POST /v2/traces"]
-	up := snap.Routes["POST /v1/upload"]
-	fmt.Printf("server: %d batch requests + %d legacy uploads, batch avg %.1f ms, max %.1f ms\n",
-		batch.Count, up.Count, batch.AvgMillis, batch.MaxMillis)
+	polls := snap.Routes["GET /v2/jobs/{id}"]
+	fmt.Printf("server: %d batch requests + %d job polls, batch avg %.1f ms, max %.1f ms\n",
+		batch.Count, polls.Count, batch.AvgMillis, batch.MaxMillis)
 }
 
 // uploadDailyBatch sends every daily chunk in one streaming batch and
@@ -143,7 +144,7 @@ func uploadDailyBatch(c *service.Client, participant mood.Trace) ([]service.Uplo
 	}
 	out := make([]service.UploadResponse, 0, len(results))
 	for _, res := range results {
-		if res.Status != 200 || res.Result == nil {
+		if res.Status != http.StatusOK || res.Result == nil {
 			return out, fmt.Errorf("chunk %d: %d %s %s", res.Index, res.Status, res.Code, res.Error)
 		}
 		out = append(out, *res.Result)
@@ -151,16 +152,24 @@ func uploadDailyBatch(c *service.Client, participant mood.Trace) ([]service.Uplo
 	return out, nil
 }
 
-// uploadDailyAsync mirrors the batch path over the v1 202/poll shim.
+// uploadDailyAsync sends every daily chunk as an async line of one
+// batch, then polls each job handle for its outcome.
 func uploadDailyAsync(c *service.Client, participant mood.Trace) ([]service.UploadResponse, error) {
 	chunks := participant.Chunks(24 * time.Hour)
-	out := make([]service.UploadResponse, 0, len(chunks))
-	for _, chunk := range chunks {
-		j, err := c.UploadAsync(chunk)
-		if err != nil {
-			return out, err
+	batch := make([]service.BatchChunk, len(chunks))
+	for i, chunk := range chunks {
+		batch[i] = service.BatchChunk{User: chunk.User, Records: chunk.Records, Async: true}
+	}
+	results, err := c.UploadBatch(batch)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]service.UploadResponse, 0, len(results))
+	for _, res := range results {
+		if res.Status != http.StatusAccepted || res.Job == nil {
+			return out, fmt.Errorf("chunk %d: %d %s %s", res.Index, res.Status, res.Code, res.Error)
 		}
-		done, err := c.WaitJob(j.ID, time.Minute)
+		done, err := c.WaitJob(res.Job.ID, time.Minute)
 		if err != nil {
 			return out, err
 		}

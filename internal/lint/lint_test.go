@@ -178,7 +178,7 @@ func TestProblemDialect(t *testing.T) {
 		PkgPath: "fixture/problemdialect",
 		Analyzers: []*analysis.Analyzer{lint.ProblemDialect(lint.ProblemDialectConfig{
 			PackagePath: "fixture/problemdialect",
-			Sinks:       map[string]int{"newProblem": 1, "writeError": 3},
+			Sinks:       map[string]int{"newProblem": 1, "writeError": 2},
 			CarrierFields: map[string]map[string]bool{
 				"chunkOutcome": {"code": true},
 				"Problem":      {"Code": true},

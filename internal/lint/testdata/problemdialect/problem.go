@@ -33,8 +33,8 @@ func newProblem(status int, code string, detail string) Problem {
 	return Problem{Code: code, Detail: detail}
 }
 
-// writeError is a sink whose fourth argument is the code; forwarding it
+// writeError is a sink whose third argument is the code; forwarding it
 // into the inner sink is allowed.
-func writeError(w any, r any, status int, code string) {
+func writeError(w any, status int, code string) {
 	_ = newProblem(status, code, "")
 }

@@ -1,18 +1,18 @@
 package fixture
 
 // constantAtSink is the canonical shape.
-func constantAtSink(w, r any) {
-	writeError(w, r, 400, CodeBadInput)
+func constantAtSink(w any) {
+	writeError(w, 400, CodeBadInput)
 }
 
 // literalAtSink leaks an undeclared code onto the wire.
-func literalAtSink(w, r any) {
-	writeError(w, r, 400, "oops") // want `problemdialect: problem code reaching writeError is not a Code\* constant`
+func literalAtSink(w any) {
+	writeError(w, 400, "oops") // want `problemdialect: problem code reaching writeError is not a Code\* constant`
 }
 
 // emptyCodeAtSink: "" is the explicit no-code marker, not a dialect leak.
-func emptyCodeAtSink(w, r any) {
-	writeError(w, r, 500, "")
+func emptyCodeAtSink(w any) {
+	writeError(w, 500, "")
 }
 
 // parseQ pins its second result to the dialect: every return is a Code*
@@ -26,10 +26,10 @@ func parseQ(q string) (int, string) {
 
 // tracedVarAtSink: errCode's only assignment is a multi-value call
 // whose callee provably returns dialect codes at that position.
-func tracedVarAtSink(w, r any, q string) {
+func tracedVarAtSink(w any, q string) {
 	n, errCode := parseQ(q)
 	if errCode != "" {
-		writeError(w, r, 400, errCode)
+		writeError(w, 400, errCode)
 	}
 	_ = n
 }
@@ -43,9 +43,9 @@ func freeQ(q string) (int, string) {
 }
 
 // untracedVarAtSink: the variable may hold anything freeQ produced.
-func untracedVarAtSink(w, r any, q string) {
+func untracedVarAtSink(w any, q string) {
 	_, errCode := freeQ(q)
-	writeError(w, r, 400, errCode) // want `problemdialect: problem code reaching writeError is not a Code\* constant`
+	writeError(w, 400, errCode) // want `problemdialect: problem code reaching writeError is not a Code\* constant`
 }
 
 // carrierLitConstant and carrierLitLiteral: composite literals of a
@@ -67,7 +67,7 @@ func carrierAssigns(out *chunkOutcome, p *Problem) {
 }
 
 // waivedLiteral is the sanctioned escape hatch.
-func waivedLiteral(w, r any) {
+func waivedLiteral(w any) {
 	//mood:allow problemdialect -- fixture: probe code used only by the fault harness
-	writeError(w, r, 500, "fault_probe")
+	writeError(w, 500, "fault_probe")
 }

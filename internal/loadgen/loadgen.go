@@ -72,7 +72,8 @@ type Config struct {
 	// RestartAfterRound, when > 0 and Restart is set, invokes Restart
 	// concurrently with round RestartAfterRound's traffic — the
 	// restart-under-load drill. The callback must bring the same
-	// logical server back (snapshot + reboot); uploads racing it are
+	// logical server back (graceful close + WAL reboot, or a crash and
+	// replay); uploads racing it are
 	// retried by the driver.
 	RestartAfterRound int
 	Restart           func() error

@@ -2,27 +2,25 @@ package loadgen
 
 import (
 	"io"
-	"path/filepath"
+	"net/http/httptest"
 	"testing"
 
-	"net/http/httptest"
-
 	"mood/internal/service"
+	"mood/internal/store"
 )
 
-// TestRestartUnderLoadKeepsInvariants is the restart drill from the
-// PR 3 recovery test, but with concurrent traffic: a loadgen scenario
-// runs while the server is snapshotted, closed and rebooted from the
-// snapshot in the middle of a round (via the shared Host machinery
+// TestRestartUnderLoadKeepsInvariants is the restart drill with
+// concurrent traffic: a loadgen scenario runs while the server is
+// gracefully closed (drain + final checkpoint) and rebooted from its
+// WAL in the middle of a round (via the shared Host machinery
 // cmd/moodload also uses). The driver's keyed retries must absorb the
 // outage, and the final accounting must satisfy every invariant —
 // exactly-once delivery, record conservation, per-user aggregation,
 // dataset shape — as if the restart never happened.
 func TestRestartUnderLoadKeepsInvariants(t *testing.T) {
-	statePath := filepath.Join(t.TempDir(), "state.json")
-	host, err := NewHost(func() (*service.Server, error) {
-		return service.New(EchoProtector{})
-	}, statePath)
+	host, err := NewWALHost(func(st store.Store) (*service.Server, error) {
+		return service.New(EchoProtector{}, service.WithStore(st))
+	}, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,20 +59,14 @@ func TestRestartUnderLoadKeepsInvariants(t *testing.T) {
 		t.Fatalf("degenerate run: %+v", rep.Requests)
 	}
 
-	// The PR 3 recovery invariants under concurrent traffic: the final
-	// server state must round-trip through one more snapshot unchanged.
+	// The recovery invariants under concurrent traffic: the final
+	// server state must round-trip through one more graceful reboot
+	// unchanged.
 	final := host.Current()
-	if err := final.SaveState(statePath); err != nil {
+	if err := host.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	reborn, err := service.New(EchoProtector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { reborn.Close() })
-	if err := reborn.LoadState(statePath); err != nil {
-		t.Fatal(err)
-	}
+	reborn := host.Current()
 	if got, want := reborn.Stats(), final.Stats(); got != want {
 		t.Fatalf("stats changed across final snapshot:\n got %+v\nwant %+v", got, want)
 	}

@@ -46,8 +46,8 @@ var Scenarios = map[string]func(seed uint64, users, rounds int) Config{
 			Workers:         4,
 		}
 	},
-	// restart: steady traffic with a snapshot + reboot fired in the
-	// middle of a round. The Restart callback is wired by the harness
+	// restart: steady traffic with a graceful close + WAL reboot fired
+	// in the middle of a round. The Restart callback is wired by the harness
 	// (cmd/moodload self-hosts; the e2e test swaps servers in-process).
 	"restart": func(seed uint64, users, rounds int) Config {
 		c := steadyScenario(seed, users, rounds)

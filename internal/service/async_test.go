@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +18,7 @@ func TestAsyncUploadLifecycle(t *testing.T) {
 	srv, hs := newTestServer(t)
 	c := NewClient(hs.URL)
 
-	j, err := c.UploadAsync(trace.New("alice", sampleRecords(10)))
+	j, err := uploadOneAsync(c, trace.New("alice", sampleRecords(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestAsyncUploadLifecycle(t *testing.T) {
 func TestAsyncUploadFailureIsReported(t *testing.T) {
 	_, hs := newTestServer(t)
 	c := NewClient(hs.URL)
-	j, err := c.UploadAsync(trace.New("boom-user", sampleRecords(3)))
+	j, err := uploadOneAsync(c, trace.New("boom-user", sampleRecords(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +59,15 @@ func TestAsyncUploadFailureIsReported(t *testing.T) {
 
 func TestUnknownJob404(t *testing.T) {
 	_, hs := newTestServer(t)
-	resp, err := http.Get(hs.URL + "/v1/jobs/job-999999")
+	resp, err := http.Get(hs.URL + "/v2/jobs/job-999999")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
+	assertProblem(t, resp, CodeNotFound)
 }
 
 // gatedProtector blocks every Protect call until the gate opens,
@@ -89,6 +91,11 @@ func (g *gatedProtector) Protect(t trace.Trace) (core.Result, error) {
 	}, nil
 }
 
+// TestQueueFullBackpressure503 pins the queue's backpressure: with the
+// worker busy and the queue full, a further chunk waits for space
+// instead of being refused, and completes once the pool moves. A chunk
+// whose wait is abandoned (the client went away) is answered 503 +
+// Retry-After and leaves nothing behind.
 func TestQueueFullBackpressure503(t *testing.T) {
 	gp := &gatedProtector{started: make(chan string, 8), gate: make(chan struct{})}
 	srv, err := New(gp, WithWorkers(1), WithQueueDepth(1))
@@ -103,7 +110,7 @@ func TestQueueFullBackpressure503(t *testing.T) {
 	// First upload occupies the single worker...
 	firstErr := make(chan error, 1)
 	go func() {
-		_, err := c.Upload(trace.New("occupant", sampleRecords(3)))
+		_, err := uploadOne(c, trace.New("occupant", sampleRecords(3)))
 		firstErr <- err
 	}()
 	select {
@@ -112,30 +119,42 @@ func TestQueueFullBackpressure503(t *testing.T) {
 		t.Fatal("first upload never reached the protector")
 	}
 	// ...the second fills the queue (accepted async, still queued)...
-	queued, err := c.UploadAsync(trace.New("queued", sampleRecords(3)))
+	queued, err := uploadOneAsync(c, trace.New("queued", sampleRecords(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ...and the third must be shed with 503 + Retry-After, sync or async.
-	resp, err := http.DefaultClient.Do(mustUploadRequest(t, hs.URL, "shed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 must carry Retry-After")
-	}
-	if _, err := c.UploadAsync(trace.New("shed-async", sampleRecords(3))); err == nil ||
-		!strings.Contains(err.Error(), "503") {
-		t.Fatalf("async shed err = %v, want 503", err)
+	// ...and the third waits for queue space instead of being refused.
+	thirdErr := make(chan error, 1)
+	go func() {
+		_, err := uploadOne(c, trace.New("waiter", sampleRecords(3)))
+		thirdErr <- err
+	}()
+	select {
+	case err := <-thirdErr:
+		t.Fatalf("upload on a full queue answered before the queue moved: %v", err)
+	case <-time.After(100 * time.Millisecond):
 	}
 
-	// Releasing the gate completes both accepted uploads.
+	// A wait whose context ends is shed retryably, sync or async, and
+	// commits nothing.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, async := range []bool{false, true} {
+		out := srv.executeChunk(ctx, trace.New("shed", sampleRecords(3)), "", async)
+		if out.status != http.StatusServiceUnavailable || out.code != CodeQueueFull || !out.retryAfter {
+			t.Fatalf("abandoned wait (async=%v) = %+v, want 503 %s with Retry-After", async, out, CodeQueueFull)
+		}
+	}
+	if list := srv.jobs.list("", "shed", 0); list.Total != 0 {
+		t.Fatalf("shed async chunk left a job behind: %+v", list)
+	}
+
+	// Releasing the gate completes all three accepted uploads.
 	close(gp.gate)
 	if err := <-firstErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-thirdErr; err != nil {
 		t.Fatal(err)
 	}
 	done, err := c.WaitJob(queued.ID, 5*time.Second)
@@ -145,7 +164,7 @@ func TestQueueFullBackpressure503(t *testing.T) {
 	if done.State != JobDone {
 		t.Fatalf("queued job = %+v", done)
 	}
-	if st := srv.Stats(); st.Uploads != 2 {
+	if st := srv.Stats(); st.Uploads != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -165,12 +184,12 @@ func TestProtectorPanicBecomes500NotCrash(t *testing.T) {
 	t.Cleanup(hs.Close)
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(3))); err == nil ||
+	if _, err := uploadOne(c, trace.New("alice", sampleRecords(3))); err == nil ||
 		!strings.Contains(err.Error(), "500") {
 		t.Fatalf("err = %v, want 500", err)
 	}
 	// Async jobs record the panic as a failure.
-	j, err := c.UploadAsync(trace.New("bob", sampleRecords(3)))
+	j, err := uploadOneAsync(c, trace.New("bob", sampleRecords(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,13 +224,13 @@ func TestParallelUploadsShardedState(t *testing.T) {
 			u := fmt.Sprintf("user-%03d", i)
 			for k := 0; k < uploadsPerUser; k++ {
 				if k%2 == 0 {
-					if _, err := c.Upload(trace.New(u, sampleRecords(5))); err != nil {
+					if _, err := uploadOne(c, trace.New(u, sampleRecords(5))); err != nil {
 						t.Error(err)
 						return
 					}
 					continue
 				}
-				j, err := c.UploadAsync(trace.New(u, sampleRecords(5)))
+				j, err := uploadOneAsync(c, trace.New(u, sampleRecords(5)))
 				if err != nil {
 					t.Error(err)
 					return
@@ -253,13 +272,13 @@ func TestServerCloseDrainsQueuedJobs(t *testing.T) {
 	// Occupy the worker, then queue two async jobs behind it.
 	first := make(chan error, 1)
 	go func() {
-		_, err := c.Upload(trace.New("occupant", sampleRecords(3)))
+		_, err := uploadOne(c, trace.New("occupant", sampleRecords(3)))
 		first <- err
 	}()
 	<-gp.started
 	var ids []string
 	for i := 0; i < 2; i++ {
-		j, err := c.UploadAsync(trace.New(fmt.Sprintf("queued-%d", i), sampleRecords(3)))
+		j, err := uploadOneAsync(c, trace.New(fmt.Sprintf("queued-%d", i), sampleRecords(3)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +299,7 @@ func TestServerCloseDrainsQueuedJobs(t *testing.T) {
 		}
 	}
 	// Uploads after Close are shed, not silently dropped.
-	if _, err := c.Upload(trace.New("late", sampleRecords(3))); err == nil ||
+	if _, err := uploadOne(c, trace.New("late", sampleRecords(3))); err == nil ||
 		!strings.Contains(err.Error(), "503") {
 		t.Fatalf("post-close upload err = %v, want 503", err)
 	}

@@ -40,7 +40,7 @@ type auditTask struct {
 	frag publishedFrag
 }
 
-// auditPublished re-checks every published fragment with a known owner
+// auditPublished re-checks every published fragment against its owner
 // and quarantines the vulnerable ones. It returns how many fragments
 // were audited and how many were pulled.
 func (s *Server) auditPublished(a Auditor) (audited, quarantined int) {
@@ -49,9 +49,7 @@ func (s *Server) auditPublished(a Auditor) (audited, quarantined int) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, f := range sh.published {
-			if f.Owner != "" {
-				tasks = append(tasks, auditTask{sh: sh, frag: f})
-			}
+			tasks = append(tasks, auditTask{sh: sh, frag: f})
 		}
 		sh.mu.Unlock()
 	}
@@ -60,9 +58,7 @@ func (s *Server) auditPublished(a Auditor) (audited, quarantined int) {
 
 // auditShardFrags re-audits specific fragments (by seq) of one shard —
 // the commit path uses it for fragments that raced an engine swap.
-// Fragments already removed by a concurrent pass are skipped, as are
-// fragments without an owner (legacy snapshots), which cannot be
-// judged.
+// Fragments already removed by a concurrent pass are skipped.
 func (s *Server) auditShardFrags(sh *stateShard, a Auditor, seqs []int64) (audited, quarantined int) {
 	want := make(map[int64]bool, len(seqs))
 	for _, q := range seqs {
@@ -71,7 +67,7 @@ func (s *Server) auditShardFrags(sh *stateShard, a Auditor, seqs []int64) (audit
 	sh.mu.Lock()
 	var tasks []auditTask
 	for _, f := range sh.published {
-		if want[f.Seq] && f.Owner != "" {
+		if want[f.Seq] {
 			tasks = append(tasks, auditTask{sh: sh, frag: f})
 		}
 	}

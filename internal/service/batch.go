@@ -22,12 +22,11 @@ import (
 // and connection overhead are paid once per batch instead of once per
 // chunk, and the chunks fan out into the sharded worker pool in bulk.
 //
-// Unlike the v1 single-chunk endpoint, a full queue exerts
-// backpressure on the stream (reading pauses until a slot frees)
-// instead of shedding: a bulk feeder wants pacing, not bounces. Chunks
-// are still individually validated, individually idempotent (per-line
-// "key") and individually async-able (per-line "async": the result
-// line carries the job handle instead of the outcome).
+// A full queue exerts backpressure on the stream (reading pauses until
+// a slot frees) instead of shedding: a bulk feeder wants pacing, not
+// bounces. Chunks are individually validated, individually idempotent
+// (per-line "key") and individually async-able (per-line "async": the
+// result line carries the job handle instead of the outcome).
 
 // NDJSONContentType is the newline-delimited JSON media type of the
 // batch request and response streams.
@@ -46,8 +45,8 @@ const (
 type BatchChunk struct {
 	User    string        `json:"user"`
 	Records trace.Records `json:"records"`
-	// Key is the optional per-chunk idempotency key (same semantics as
-	// the v1 X-Mood-Idempotency-Key header, scoped per user).
+	// Key is the optional per-chunk idempotency key, scoped per user: a
+	// retry under the same key replays the original outcome.
 	Key string `json:"key,omitempty"`
 	// Async enqueues the chunk and reports the job handle instead of
 	// waiting for the outcome.
@@ -130,10 +129,10 @@ func (s *Server) handleBatchUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(bytes.TrimSpace(line)) == 0 && readErr != nil && !errors.Is(readErr, errChunkTooLarge) {
 		if errors.Is(readErr, io.EOF) {
-			writeError(w, r, http.StatusBadRequest, CodeEmptyBatch, "empty batch: no chunk lines in request body")
+			writeError(w, http.StatusBadRequest, CodeEmptyBatch, "empty batch: no chunk lines in request body")
 			return
 		}
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "unreadable batch stream: "+readErr.Error())
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "unreadable batch stream: "+readErr.Error())
 		return
 	}
 
@@ -318,7 +317,7 @@ func (s *Server) processBatchChunk(ctx context.Context, idx int, line []byte, hd
 		return batchError(idx, c.User, http.StatusBadRequest, CodeKeyTooLong,
 			"idempotency key exceeds "+strconv.Itoa(maxIdempotencyKeyLen)+" bytes")
 	}
-	return batchOutcomeResult(idx, c.User, s.executeChunk(ctx, t, c.Key, c.Async, true))
+	return batchOutcomeResult(idx, c.User, s.executeChunk(ctx, t, c.Key, c.Async))
 }
 
 // parseBatchChunkFast parses the canonical batch line shape —

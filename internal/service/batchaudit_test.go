@@ -78,11 +78,11 @@ func TestBatchAuditQuarantinesSameSetAsScalar(t *testing.T) {
 		// audit must condemn these), a stranger uploads from far away
 		// (no profile can claim it, so it survives).
 		for _, user := range []string{"alice", "bob", "carol"} {
-			if _, err := c.Upload(trace.New(user, regionRecords(regions[user], 20))); err != nil {
+			if _, err := uploadOne(c, trace.New(user, regionRecords(regions[user], 20))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := c.Upload(trace.New("dave", regionRecords(geo.Point{Lat: -33.9, Lon: 151.2}, 20))); err != nil {
+		if _, err := uploadOne(c, trace.New("dave", regionRecords(geo.Point{Lat: -33.9, Lon: 151.2}, 20))); err != nil {
 			t.Fatal(err)
 		}
 		report, err := srv.Retrain()
@@ -167,7 +167,7 @@ func TestAppendFailureSurfacesInStats(t *testing.T) {
 	t.Cleanup(hs.Close)
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(6))); err != nil {
+	if _, err := uploadOne(c, trace.New("alice", sampleRecords(6))); err != nil {
 		t.Fatal(err)
 	}
 	fst.failing.Store(true) // the disk goes bad after the upload acked

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -49,72 +48,16 @@ func (c *Client) clock() clock.Clock {
 	return clock.System()
 }
 
-// do issues a request with the configured auth header.
-func (c *Client) do(method, url string, body io.Reader) (*http.Response, error) {
-	return c.doAs(method, url, "", body)
-}
-
-// doAs additionally tags the request with the participant ID so the
-// server's per-user rate limiter can key on it before parsing the body.
-func (c *Client) doAs(method, url, user string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(method, url, body)
+// do issues a bodyless request with the configured auth header.
+func (c *Client) do(method, url string) (*http.Response, error) {
+	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
 		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if user != "" {
-		req.Header.Set(UserHeader, user)
 	}
 	if c.authToken != "" {
 		req.Header.Set("Authorization", "Bearer "+c.authToken)
 	}
 	return c.httpClient().Do(req)
-}
-
-// Upload sends one trace (typically a daily chunk) to the middleware.
-func (c *Client) Upload(t trace.Trace) (UploadResponse, error) {
-	body, err := json.Marshal(UploadRequest{User: t.User, Records: t.Records})
-	if err != nil {
-		return UploadResponse{}, fmt.Errorf("service: encoding upload: %w", err)
-	}
-	resp, err := c.doAs(http.MethodPost, c.BaseURL+"/v1/upload", t.User, bytes.NewReader(body))
-	if err != nil {
-		return UploadResponse{}, fmt.Errorf("service: upload: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return UploadResponse{}, decodeError(resp)
-	}
-	var out UploadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return UploadResponse{}, fmt.Errorf("service: decoding upload response: %w", err)
-	}
-	return out, nil
-}
-
-// UploadAsync enqueues one trace on the server's worker pool and
-// returns the job handle immediately (HTTP 202). Poll Job, or use
-// WaitJob, to collect the outcome.
-func (c *Client) UploadAsync(t trace.Trace) (JobStatus, error) {
-	body, err := json.Marshal(UploadRequest{User: t.User, Records: t.Records})
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: encoding upload: %w", err)
-	}
-	resp, err := c.doAs(http.MethodPost, c.BaseURL+"/v1/upload?async=1", t.User, bytes.NewReader(body))
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: async upload: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return JobStatus{}, decodeError(resp)
-	}
-	var out JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return JobStatus{}, fmt.Errorf("service: decoding job status: %w", err)
-	}
-	return out, nil
 }
 
 // Job fetches the status of an asynchronous upload.
@@ -159,7 +102,7 @@ func (c *Client) WaitJob(id string, timeout time.Duration) (JobStatus, error) {
 // and returns what it did. The server answers 404 when no retrainer is
 // configured.
 func (c *Client) Retrain() (RetrainReport, error) {
-	resp, err := c.do(http.MethodPost, c.BaseURL+"/v2/admin/retrain", nil)
+	resp, err := c.do(http.MethodPost, c.BaseURL+"/v2/admin/retrain")
 	if err != nil {
 		return RetrainReport{}, fmt.Errorf("service: retrain: %w", err)
 	}
@@ -187,22 +130,6 @@ func (c *Client) Metrics() (MetricsSnapshot, error) {
 	var out MetricsSnapshot
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return MetricsSnapshot{}, fmt.Errorf("service: decoding metrics: %w", err)
-	}
-	return out, nil
-}
-
-// UploadDaily splits the trace into 24 h chunks and uploads each one,
-// as the paper's crowd-sensing participants do. It returns the per-chunk
-// responses; on error it reports how many chunks had been accepted.
-func (c *Client) UploadDaily(t trace.Trace) ([]UploadResponse, error) {
-	chunks := t.Chunks(24 * time.Hour)
-	out := make([]UploadResponse, 0, len(chunks))
-	for i, chunk := range chunks {
-		r, err := c.Upload(chunk)
-		if err != nil {
-			return out, fmt.Errorf("service: chunk %d/%d: %w", i+1, len(chunks), err)
-		}
-		out = append(out, r)
 	}
 	return out, nil
 }
@@ -263,8 +190,8 @@ func (c *Client) UserStats(user string) (UserStats, error) {
 type StatusError struct {
 	Code int
 	Msg  string
-	// ProblemCode is the stable machine-readable code of a v2
-	// problem+json error ("" on legacy v1 bodies).
+	// ProblemCode is the stable machine-readable code of a problem+json
+	// error ("" when the body was not a problem document).
 	ProblemCode string
 }
 
@@ -275,8 +202,9 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("service: server returned %d", e.Code)
 }
 
-// decodeError understands both error dialects: RFC 7807 problem+json
-// (v2) and the legacy {"error": "..."} body (v1).
+// decodeError reads an RFC 7807 problem+json error body. A body that
+// is not a problem document (an intermediary's page, a plain-text 404)
+// leaves only the status code.
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	se := &StatusError{Code: resp.StatusCode}
@@ -287,11 +215,6 @@ func decodeError(resp *http.Response) error {
 			se.Msg = p.Title
 		}
 		se.ProblemCode = p.Code
-		return se
-	}
-	var ae apiError
-	if err := json.Unmarshal(body, &ae); err == nil && ae.Error != "" {
-		se.Msg = ae.Error
 	}
 	return se
 }

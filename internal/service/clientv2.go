@@ -16,7 +16,7 @@ import (
 
 // The v2 client surface: streaming batch uploads with per-chunk
 // results, the paginated dataset (with an iterator), and the jobs
-// listing. The single-chunk helpers in client.go are shims over these.
+// listing.
 
 // UploadBatchStream sends the chunks as one NDJSON batch to
 // POST /v2/traces and invokes fn for every result line as it arrives,
@@ -299,9 +299,9 @@ func (c *Client) OpenAPI() (map[string]any, error) {
 
 // UploadChunks uploads the trace as daily chunks through one batch
 // request with per-chunk idempotency keys derived from keyPrefix
-// (keyPrefix-0, keyPrefix-1, ...); an empty prefix disables keying. It
-// is the v2 replacement for UploadDaily: one connection, one auth and
-// rate-limit check, per-chunk results.
+// (keyPrefix-0, keyPrefix-1, ...); an empty prefix disables keying:
+// one connection, one auth and rate-limit check, per-chunk results, as
+// the paper's crowd-sensing participants upload their days.
 func (c *Client) UploadChunks(t trace.Trace, keyPrefix string) ([]BatchResult, error) {
 	chunks := t.Chunks(24 * time.Hour)
 	batch := make([]BatchChunk, len(chunks))

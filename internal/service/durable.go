@@ -43,10 +43,11 @@ import (
 )
 
 // Record types of the service tier's WAL schema. Payloads are JSON —
-// the same shapes the snapshot file uses, so the two durability paths
-// cannot drift apart. Unknown types are skipped on replay (forward
-// compatibility: an older binary recovering a newer log keeps what it
-// understands).
+// the same shapes the checkpoint snapshot uses — except upload commits,
+// which use the binary codec in walcodec.go. Unknown types are skipped
+// on replay (forward compatibility: an older binary recovering a newer
+// log keeps what it understands) and counted in
+// PersistenceStats.ReplaySkipped.
 const (
 	recUploadCommit byte = 1
 	recIdemComplete byte = 2
@@ -307,13 +308,20 @@ func (s *Server) appendBestEffort(typ byte, v any) {
 // also starts the background checkpoint loop (see checkpointLoop);
 // starting it here rather than in New means a half-recovered server can
 // never compact pre-recovery emptiness over a real log.
-func (s *Server) Recover() error {
+func (s *Server) Recover() (err error) {
 	if s.store == nil {
 		return errors.New("service: Recover without a store configured")
 	}
 	if !s.recovered.CompareAndSwap(false, true) {
 		return errors.New("service: Recover called twice")
 	}
+	defer func() {
+		if err != nil {
+			// A failed recovery must not let Close checkpoint the
+			// half-loaded state over the store it could not read.
+			s.recovered.Store(false)
+		}
+	}()
 	snap, recs, err := s.store.Load()
 	if err != nil {
 		return &storageError{err: err}
@@ -323,9 +331,15 @@ func (s *Server) Recover() error {
 			return err
 		}
 	}
+	var skipped int64
 	for _, r := range recs {
-		s.applyRecord(r)
+		if !s.applyRecord(r) {
+			skipped++
+		}
 	}
+	s.persistMu.Lock()
+	s.persist.replaySkipped = skipped
+	s.persistMu.Unlock()
 	if s.opts.CheckpointInterval > 0 {
 		s.ckptStop = make(chan struct{})
 		s.ckptDone = make(chan struct{})
@@ -334,36 +348,47 @@ func (s *Server) Recover() error {
 	return nil
 }
 
-// applyRecord replays one WAL record. Records are CRC-verified by the
-// store, so a payload that fails to decode is a schema difference, not
-// corruption — it is skipped, keeping recovery forward compatible.
-func (s *Server) applyRecord(r store.Record) {
+// applyRecord replays one WAL record and reports whether it was
+// applied. Records are CRC-verified by the store, so a payload that
+// fails to decode is a schema difference, not corruption — it is
+// skipped, keeping recovery forward compatible, and so is a record of
+// unknown type.
+func (s *Server) applyRecord(r store.Record) bool {
 	switch r.Type {
 	case recUploadCommit:
-		if c, err := decodeUploadCommit(r.Payload); err == nil {
-			s.replayCommit(c)
+		c, err := decodeUploadCommit(r.Payload)
+		if err != nil {
+			return false
 		}
+		s.replayCommit(c)
 	case recIdemComplete:
 		var pe persistedIdem
-		if json.Unmarshal(r.Payload, &pe) == nil {
-			s.idem.applyRestored(pe)
+		if json.Unmarshal(r.Payload, &pe) != nil {
+			return false
 		}
+		s.idem.applyRestored(pe)
 	case recJobTerminal:
 		var js JobStatus
-		if json.Unmarshal(r.Payload, &js) == nil {
-			s.jobs.applyTerminal(js)
+		if json.Unmarshal(r.Payload, &js) != nil {
+			return false
 		}
+		s.jobs.applyTerminal(js)
 	case recQuarantine:
 		var q walQuarantine
-		if json.Unmarshal(r.Payload, &q) == nil {
-			s.replayQuarantine(q.Seqs)
+		if json.Unmarshal(r.Payload, &q) != nil {
+			return false
 		}
+		s.replayQuarantine(q.Seqs)
 	case recRetrainEpoch:
 		var rr walRetrain
-		if json.Unmarshal(r.Payload, &rr) == nil {
-			storeMax(&s.retrains, rr.Retrains)
+		if json.Unmarshal(r.Payload, &rr) != nil {
+			return false
 		}
+		storeMax(&s.retrains, rr.Retrains)
+	default:
+		return false
 	}
+	return true
 }
 
 // replayCommit re-applies one committed upload from its durable record.
@@ -513,6 +538,9 @@ type persistState struct {
 	// vanish: a poisoned WAL must surface in the health section.
 	appendFailures int64
 	lastAppendErr  string
+	// replaySkipped counts the records the boot replay dropped: payloads
+	// that failed to decode and record types this binary does not know.
+	replaySkipped int64
 }
 
 // noteAppend records a best-effort append outcome. Only failures are
@@ -545,7 +573,7 @@ func (s *Server) notePersist(err error) {
 // PersistenceStats reports durability health on /v2/stats when a store
 // is configured.
 type PersistenceStats struct {
-	// Store names the backend ("json", "wal").
+	// Store names the backend ("wal").
 	Store string `json:"store"`
 	// Checkpoints and CheckpointFailures count snapshot compactions.
 	Checkpoints        int64 `json:"checkpoints"`
@@ -563,9 +591,13 @@ type PersistenceStats struct {
 	// healthy stores.
 	AppendFailures  int64  `json:"append_failures,omitempty"`
 	LastAppendError string `json:"last_append_error,omitempty"`
+	// ReplaySkipped counts the log records the last Recover could not
+	// apply: payloads that failed to decode and unknown record types.
+	// Omitted while zero.
+	ReplaySkipped int64 `json:"replay_skipped,omitempty"`
 }
 
-// StatsPayload is the GET /v{1,2}/stats body. The embedded ServerStats
+// StatsPayload is the GET /v2/stats body. The embedded ServerStats
 // flattens; Persistence is omitted when no store is configured and Node
 // when no node ID is configured, so standalone servers keep the
 // historical byte-identical shape.
@@ -591,6 +623,7 @@ func (s *Server) statsPayload() StatsPayload {
 	ps.LastError = s.persist.lastErr
 	ps.AppendFailures = s.persist.appendFailures
 	ps.LastAppendError = s.persist.lastAppendErr
+	ps.ReplaySkipped = s.persist.replaySkipped
 	if s.persist.hasOK {
 		ps.LastSuccessAgeMillis = s.clk.Since(s.persist.lastOK).Milliseconds()
 	}

@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -50,13 +48,13 @@ func TestWALServerCrashRecovery(t *testing.T) {
 	srvA, hsA := newWALServer(t, ffs, &fakeProtector{})
 	c := NewClient(hsA.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(10))); err != nil {
+	if _, err := uploadOne(c, trace.New("alice", sampleRecords(10))); err != nil {
 		t.Fatal(err)
 	}
-	if r, _ := idemUpload(t, hsA, "bob", "chunk-1", 4); r.StatusCode != http.StatusOK {
-		t.Fatalf("keyed upload: %d", r.StatusCode)
+	if r, _ := idemUpload(t, hsA, "bob", "chunk-1", 4); r.Status != http.StatusOK {
+		t.Fatalf("keyed upload: %d", r.Status)
 	}
-	job, err := c.UploadAsync(trace.New("carol", sampleRecords(6)))
+	job, err := uploadOneAsync(c, trace.New("carol", sampleRecords(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +89,8 @@ func TestWALServerCrashRecovery(t *testing.T) {
 	// The keyed chunk's retry must replay across the crash, not commit
 	// twice: the idempotency completion rode in the commit's WAL frame.
 	r, _ := idemUpload(t, hsB, "bob", "chunk-1", 4)
-	if r.StatusCode != http.StatusOK || r.Header.Get(IdempotencyReplayHeader) != "true" {
-		t.Fatalf("keyed retry after crash: status %d, replay %q",
-			r.StatusCode, r.Header.Get(IdempotencyReplayHeader))
+	if r.Status != http.StatusOK || !r.Replay {
+		t.Fatalf("keyed retry after crash: status %d, replay %v", r.Status, r.Replay)
 	}
 	if fpB.calls != 0 {
 		t.Fatalf("keyed retry re-executed the protector %d times", fpB.calls)
@@ -124,7 +121,7 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 	for i := range keys {
 		keys[i] = "chunk-" + string(rune('a'+i))
 	}
-	upload := func(t *testing.T, hs *httptest.Server, i int) *http.Response {
+	upload := func(t *testing.T, hs *httptest.Server, i int) BatchResult {
 		r, _ := idemUpload(t, hs, "alice", keys[i], recsPer)
 		return r
 	}
@@ -134,8 +131,8 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 	probe := store.NewFaultFS(store.NewMemFS())
 	_, hs := newWALServer(t, probe, &fakeProtector{})
 	for i := 0; i < users; i++ {
-		if r := upload(t, hs, i); r.StatusCode != http.StatusOK {
-			t.Fatalf("clean run upload %d: %d", i, r.StatusCode)
+		if r := upload(t, hs, i); r.Status != http.StatusOK {
+			t.Fatalf("clean run upload %d: %d", i, r.Status)
 		}
 	}
 	totalOps := probe.Ops()
@@ -153,7 +150,7 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 			acked := make([]bool, users)
 			ackedCount := 0
 			for i := 0; i < users; i++ {
-				switch r := upload(t, hsA, i); r.StatusCode {
+				switch r := upload(t, hsA, i); r.Status {
 				case http.StatusOK:
 					acked[i] = true
 					ackedCount++
@@ -162,7 +159,7 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 					// applied; the retry below must re-execute it.
 				default:
 					t.Fatalf("failAt=%d partial=%d upload %d: unexpected status %d",
-						failAt, partial, i, r.StatusCode)
+						failAt, partial, i, r.Status)
 				}
 			}
 			ffs.Kill()
@@ -171,11 +168,11 @@ func TestFaultInjectionNoAckedLoss(t *testing.T) {
 			srvB, hsB := newWALServer(t, disk, fpB)
 			for i := 0; i < users; i++ {
 				r, _ := idemUpload(t, hsB, "alice", keys[i], recsPer)
-				if r.StatusCode != http.StatusOK {
+				if r.Status != http.StatusOK {
 					t.Fatalf("failAt=%d partial=%d: retry %d got %d",
-						failAt, partial, i, r.StatusCode)
+						failAt, partial, i, r.Status)
 				}
-				replayed := r.Header.Get(IdempotencyReplayHeader) == "true"
+				replayed := r.Replay
 				if acked[i] && !replayed {
 					t.Fatalf("failAt=%d partial=%d: acked upload %d lost (retry re-executed)",
 						failAt, partial, i)
@@ -224,7 +221,7 @@ func TestWALQuarantineReplay(t *testing.T) {
 	ffs := store.NewFaultFS(disk)
 	srvA, hsA := newWALServer(t, ffs, &fakeProtector{})
 	c := NewClient(hsA.URL)
-	if _, err := c.Upload(trace.New("alice", sampleRecords(8))); err != nil {
+	if _, err := uploadOne(c, trace.New("alice", sampleRecords(8))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -342,7 +339,7 @@ func TestCheckpointRetrySurfacesHealth(t *testing.T) {
 
 // TestStatsPersistenceShape: /v2/stats gains a persistence section only
 // when a store is configured; store-less servers keep the historical
-// byte shape (also pinned by the golden test).
+// byte shape, and a healthy WAL omits the failure counters.
 func TestStatsPersistenceShape(t *testing.T) {
 	_, hs := newTestServer(t)
 	body := getBody(t, hs.URL+"/v2/stats")
@@ -354,6 +351,9 @@ func TestStatsPersistenceShape(t *testing.T) {
 	body = getBody(t, hsWAL.URL+"/v2/stats")
 	if !strings.Contains(body, `"persistence"`) || !strings.Contains(body, `"store":"wal"`) {
 		t.Fatalf("WAL stats missing persistence health: %s", body)
+	}
+	if strings.Contains(body, "replay_skipped") || strings.Contains(body, "append_failures") {
+		t.Fatalf("healthy WAL stats carry failure counters: %s", body)
 	}
 }
 
@@ -371,74 +371,81 @@ func getBody(t *testing.T, url string) string {
 	return string(b)
 }
 
-// TestJSONStoreLegacySnapshot: the json backend loads snapshots written
-// before the durability layer (bare `published` traces, no seqs) and
-// checkpoints them forward into the current format with stable seqs.
-func TestJSONStoreLegacySnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.json")
-	legacy := persistedState{
-		Published: []trace.Trace{trace.New("anon-7", sampleRecords(5))},
-		Users: map[string]*UserStats{"alice": {
-			Uploads: 1, RecordsIn: 5, RecordsPublished: 5, Pieces: 1,
-		}},
-		Stats:  ServerStats{Uploads: 1, RecordsIn: 5, RecordsPublished: 5, Users: 1},
-		Pseudo: 7,
-	}
-	data, err := json.Marshal(legacy)
+// TestRecoverRejectsCorruptSnapshot: a checkpoint snapshot that does
+// not decode fails Recover loudly instead of booting an empty server
+// over a log whose prefix it silently dropped.
+func TestRecoverRejectsCorruptSnapshot(t *testing.T) {
+	disk := store.NewMemFS()
+	w, err := store.NewWAL(store.WALOptions{Dir: "wal", FS: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if _, _, err := w.Load(); err != nil {
+		t.Fatal(err)
+	}
+	pos, err := w.Mark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Compact([]byte("{nope"), pos); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	srv, err := New(&fakeProtector{}, WithStore(store.NewJSONFile(path, nil)),
-		WithCheckpointInterval(-1))
+	w, err = store.NewWAL(store.WALOptions{Dir: "wal", FS: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Recover(); err != nil {
+	srv, err := New(&fakeProtector{}, WithStore(w), WithCheckpointInterval(-1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.Uploads != 1 || st.RecordsPublished != 5 {
-		t.Fatalf("legacy snapshot not recovered: %+v", st)
+	if err := srv.Recover(); err == nil {
+		t.Fatal("Recover accepted a snapshot that does not decode")
 	}
-	sh := srv.shard("anon-7")
-	sh.mu.Lock()
-	var seq int64
-	if len(sh.published) == 1 {
-		seq = sh.published[0].Seq
-	}
-	sh.mu.Unlock()
-	if seq == 0 {
-		t.Fatal("legacy fragment did not get a fresh seq handle")
-	}
-	if err := srv.Checkpoint(); err != nil {
+	// Close must not checkpoint the empty state over the snapshot.
+	srv.Close() //nolint:errcheck
+
+	w, err = store.NewWAL(store.WALOptions{Dir: "wal", FS: disk})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Close(); err != nil {
+	defer w.Close()
+	if snap, _, err := w.Load(); err != nil || string(snap) != "{nope" {
+		t.Fatalf("snapshot after failed recovery = %q, %v; want it untouched", snap, err)
+	}
+}
+
+// TestReplaySkippedCountsDroppedRecords: a well-framed record whose
+// payload does not decode and a record of a type this binary does not
+// know are both skipped on replay — and counted, never silently lost.
+func TestReplaySkippedCountsDroppedRecords(t *testing.T) {
+	disk := store.NewMemFS()
+	w, err := store.NewWAL(store.WALOptions{Dir: "wal", FS: disk, Fsync: store.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(store.Record{Type: recIdemComplete, Payload: []byte("{nope")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(store.Record{Type: 99, Payload: []byte(`{}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The rewritten snapshot round-trips with the seq intact.
-	srv2, err := New(&fakeProtector{}, WithStore(store.NewJSONFile(path, nil)),
-		WithCheckpointInterval(-1))
-	if err != nil {
+	_, hs := newWALServer(t, disk, &fakeProtector{})
+	var stats StatsPayload
+	if err := json.Unmarshal([]byte(getBody(t, hs.URL+"/v2/stats")), &stats); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv2.Close() }) //nolint:errcheck
-	if err := srv2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	sh = srv2.shard("anon-7")
-	sh.mu.Lock()
-	got := int64(0)
-	if len(sh.published) == 1 {
-		got = sh.published[0].Seq
-	}
-	sh.mu.Unlock()
-	if got != seq {
-		t.Fatalf("seq changed across checkpoint: %d -> %d", seq, got)
+	if stats.Persistence == nil || stats.Persistence.ReplaySkipped != 2 {
+		t.Fatalf("persistence = %+v, want replay_skipped 2", stats.Persistence)
 	}
 }

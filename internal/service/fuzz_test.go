@@ -5,91 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 	"unicode/utf8"
 )
-
-// FuzzUpload throws arbitrary bodies, async selectors and idempotency
-// keys at the upload handler. The contract under fuzz:
-//
-//   - the handler never panics (a panic would escape as a failed fuzz
-//     input; the Recover layer is deliberately part of the chain under
-//     test),
-//   - every response carries a status the wire protocol documents,
-//   - the accounting conservation law (records_in == published +
-//     rejected, nothing negative) survives any input mix, valid or
-//     garbage.
-//
-// Run the smoke locally with:
-//
-//	go test -fuzz=FuzzUpload -fuzztime=30s -run='^$' ./internal/service
-func FuzzUpload(f *testing.F) {
-	f.Add([]byte(`{"user":"alice","records":[{"lat":45,"lon":4,"ts":1}]}`), "", "")
-	f.Add([]byte(`{"user":"alice","records":[{"lat":45,"lon":4,"ts":1}]}`), "1", "key-1")
-	f.Add([]byte(`{"user":"alice","records":[{"lat":45,"lon":4,"ts":1}]}`), "true", "key-1")
-	f.Add([]byte(`{"user":"bob","records":[{"lat":95,"lon":4,"ts":1}]}`), "0", "")
-	f.Add([]byte(`{"user":"bad/user","records":[{"lat":45,"lon":4,"ts":1}]}`), "", "k")
-	f.Add([]byte(`{"user":"boom-x","records":[{"lat":45,"lon":4,"ts":1}]}`), "", "k")
-	f.Add([]byte(`{"user":"reject-y","records":[{"lat":45,"lon":4,"ts":1}]}`), "false", "")
-	f.Add([]byte(`{nope`), "yes", "")
-	f.Add([]byte(`{"user":"","records":[]}`), "nope", string(make([]byte, 250)))
-	f.Add([]byte(`{"user":"a b","records":[{"lat":-45.5,"lon":-4.25,"ts":-1}]}`), "TRUE", string(rune(0)))
-
-	srv, err := New(&fakeProtector{}, WithWorkers(2), WithQueueDepth(16), WithRequestTimeout(-1))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { srv.Close() })
-	handler := srv.Handler()
-
-	known := map[int]bool{
-		http.StatusOK:                  true,
-		http.StatusAccepted:            true,
-		http.StatusBadRequest:          true,
-		http.StatusUnprocessableEntity: true,
-		http.StatusServiceUnavailable:  true, // shed under a full queue
-	}
-
-	f.Fuzz(func(t *testing.T, body []byte, asyncParam, key string) {
-		target := "/v1/upload"
-		if asyncParam != "" {
-			target += "?async=" + url.QueryEscape(asyncParam)
-		}
-		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		if key != "" {
-			req.Header.Set(IdempotencyKeyHeader, key)
-		}
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-
-		if rec.Code == http.StatusInternalServerError {
-			// The only legitimate 500 is the fake engine's deliberate
-			// failure (boom-* users). A recovered panic also answers 500
-			// but with a different error body — accepting it blindly
-			// would let the Recover layer hide real panics from the
-			// fuzzer, so pin the body.
-			if !strings.Contains(rec.Body.String(), "engine exploded") {
-				t.Fatalf("unexpected 500 (recovered panic?) for body=%q async=%q key=%q (response %q)",
-					body, asyncParam, key, rec.Body.String())
-			}
-		} else if !known[rec.Code] {
-			t.Fatalf("undocumented status %d for body=%q async=%q key=%q (response %q)",
-				rec.Code, body, asyncParam, key, rec.Body.String())
-		}
-
-		st := srv.Stats()
-		if st.RecordsIn != st.RecordsPublished+st.RecordsRejected {
-			t.Fatalf("conservation broken: %+v", st)
-		}
-		if st.Uploads < 0 || st.Users < 0 || st.RecordsIn < 0 || st.RecordsPublished < 0 ||
-			st.RecordsRejected < 0 || st.PublishedTraces < 0 {
-			t.Fatalf("negative counter: %+v", st)
-		}
-	})
-}
 
 // FuzzUploadV2 throws arbitrary NDJSON streams at the batch endpoint.
 // The contract under fuzz:
@@ -100,6 +19,8 @@ func FuzzUpload(f *testing.F) {
 //     400 problem,
 //   - every 200 result line obeys the per-chunk conservation law
 //     (records_in == accepted + rejected for that chunk),
+//   - the only 500 result line is the fake engine's deliberate failure
+//     (a recovered panic also answers 500, so the text is pinned),
 //   - the server-wide conservation law survives any input mix.
 //
 // Run the smoke locally with:
@@ -116,6 +37,16 @@ func FuzzUploadV2(f *testing.F) {
 	f.Add([]byte(""), "")
 	f.Add([]byte("\n\n\n"), "")
 	f.Add([]byte(`{"user":"a","records":[]}`), "a")
+	// Single-line batches: async selectors (valid and not), idempotency
+	// keys (oversized, control bytes) and invalid users or coordinates.
+	f.Add([]byte(`{"user":"alice","records":[{"lat":45,"lon":4,"ts":1}],"async":true,"key":"key-1"}`+"\n"), "")
+	f.Add([]byte(`{"user":"bob","records":[{"lat":95,"lon":4,"ts":1}],"async":false}`+"\n"), "")
+	f.Add([]byte(`{"user":"bad/user","records":[{"lat":45,"lon":4,"ts":1}],"key":"k"}`+"\n"), "")
+	f.Add([]byte(`{"user":"boom-x","records":[{"lat":45,"lon":4,"ts":1}],"key":"k"}`+"\n"), "")
+	f.Add([]byte(`{"user":"reject-y","records":[{"lat":45,"lon":4,"ts":1}],"async":false}`+"\n"), "")
+	f.Add([]byte(`{nope`), "")
+	f.Add([]byte(`{"user":"","records":[],"async":"nope","key":"`+strings.Repeat(`\u0000`, 250)+`"}`+"\n"), "")
+	f.Add([]byte(`{"user":"a b","records":[{"lat":-45.5,"lon":-4.25,"ts":-1}],"async":"TRUE","key":"\u0000"}`+"\n"), "")
 
 	srv, err := New(&fakeProtector{}, WithWorkers(2), WithQueueDepth(16), WithRequestTimeout(-1))
 	if err != nil {
@@ -181,6 +112,9 @@ func FuzzUploadV2(f *testing.F) {
 				}
 				if res.Index != got {
 					t.Fatalf("result %d carries index %d: order broken", got, res.Index)
+				}
+				if res.Status == http.StatusInternalServerError && !strings.Contains(res.Error, "engine exploded") {
+					t.Fatalf("unexpected 500 line (recovered panic?): %+v", res)
 				}
 				if res.Status == http.StatusOK {
 					if res.Result == nil {

@@ -1,12 +1,12 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,31 +16,27 @@ import (
 	"mood/internal/trace"
 )
 
-func idemUpload(t *testing.T, hs *httptest.Server, user, key string, n int) (*http.Response, UploadResponse) {
+// idemUpload posts one chunk under key as a one-line /v2/traces batch
+// and returns its result line and, on 200, the protection outcome.
+func idemUpload(t *testing.T, hs *httptest.Server, user, key string, n int) (BatchResult, UploadResponse) {
 	t.Helper()
-	body, err := json.Marshal(UploadRequest{User: user, Records: sampleRecords(n)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != "" {
-		req.Header.Set(IdempotencyKeyHeader, key)
-	}
-	resp, err := hs.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	res := idemPost(t, hs, BatchChunk{User: user, Records: sampleRecords(n), Key: key})
 	var ur UploadResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil {
-			t.Fatal(err)
-		}
+	if res.Result != nil {
+		ur = *res.Result
 	}
-	return resp, ur
+	return res, ur
+}
+
+// idemPost posts one chunk as a one-line batch and returns its result
+// line.
+func idemPost(t *testing.T, hs *httptest.Server, c BatchChunk) BatchResult {
+	t.Helper()
+	_, results := postNDJSON(t, hs.URL, batchLine(t, c), nil)
+	if len(results) != 1 {
+		t.Fatalf("got %d result lines, want 1", len(results))
+	}
+	return results[0]
 }
 
 // TestIdempotencyReplaySync: a second sync upload with the same key must
@@ -56,17 +52,17 @@ func TestIdempotencyReplaySync(t *testing.T) {
 	t.Cleanup(hs.Close)
 
 	r1, u1 := idemUpload(t, hs, "alice", "chunk-2026-07-28", 30)
-	if r1.StatusCode != http.StatusOK {
-		t.Fatalf("first upload: %d", r1.StatusCode)
+	if r1.Status != http.StatusOK {
+		t.Fatalf("first upload: %d", r1.Status)
 	}
-	if r1.Header.Get(IdempotencyReplayHeader) != "" {
+	if r1.Replay {
 		t.Fatal("first upload flagged as replay")
 	}
 	r2, u2 := idemUpload(t, hs, "alice", "chunk-2026-07-28", 30)
-	if r2.StatusCode != http.StatusOK {
-		t.Fatalf("replay: %d", r2.StatusCode)
+	if r2.Status != http.StatusOK {
+		t.Fatalf("replay: %d", r2.Status)
 	}
-	if r2.Header.Get(IdempotencyReplayHeader) != "true" {
+	if !r2.Replay {
 		t.Fatal("replay not flagged")
 	}
 	if u1.Accepted != u2.Accepted || u1.Rejected != u2.Rejected || u1.Pieces != u2.Pieces {
@@ -81,8 +77,8 @@ func TestIdempotencyReplaySync(t *testing.T) {
 	}
 	// A different key from the same user executes normally.
 	r3, _ := idemUpload(t, hs, "alice", "chunk-2026-07-29", 30)
-	if r3.StatusCode != http.StatusOK || r3.Header.Get(IdempotencyReplayHeader) != "" {
-		t.Fatalf("fresh key replayed: %d", r3.StatusCode)
+	if r3.Status != http.StatusOK || r3.Replay {
+		t.Fatalf("fresh key replayed: %d", r3.Status)
 	}
 	if srv.Stats().Uploads != 2 {
 		t.Fatalf("uploads = %d, want 2", srv.Stats().Uploads)
@@ -93,12 +89,12 @@ func TestIdempotencyReplaySync(t *testing.T) {
 // collide.
 func TestIdempotencyScopedPerUser(t *testing.T) {
 	srv, hs := newTestServer(t)
-	if r, _ := idemUpload(t, hs, "alice", "day-1", 25); r.StatusCode != http.StatusOK {
-		t.Fatalf("alice: %d", r.StatusCode)
+	if r, _ := idemUpload(t, hs, "alice", "day-1", 25); r.Status != http.StatusOK {
+		t.Fatalf("alice: %d", r.Status)
 	}
 	r, _ := idemUpload(t, hs, "bob", "day-1", 25)
-	if r.StatusCode != http.StatusOK || r.Header.Get(IdempotencyReplayHeader) != "" {
-		t.Fatalf("bob's first upload treated as replay (%d)", r.StatusCode)
+	if r.Status != http.StatusOK || r.Replay {
+		t.Fatalf("bob's first upload treated as replay (%d)", r.Status)
 	}
 	if srv.Stats().Uploads != 2 {
 		t.Fatalf("uploads = %d, want 2", srv.Stats().Uploads)
@@ -146,24 +142,25 @@ func TestIdempotencyRetryAfterTimeout(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 
-	body, err := json.Marshal(UploadRequest{User: "carol", Records: sampleRecords(20)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := batchLine(t, BatchChunk{User: "carol", Records: sampleRecords(20), Key: "carol-day-1"})
 	// The first request is cancelled only once its job provably reached
 	// the protector, so the cancellation always races a live upload —
 	// deterministic, where the historical 150 ms wall-clock timeout was
 	// a guess.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v1/upload", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v2/traces", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(IdempotencyKeyHeader, "carol-day-1")
 	firstErr := make(chan error, 1)
 	go func() {
-		_, err := hs.Client().Do(req)
+		resp, err := hs.Client().Do(req)
+		if err == nil {
+			// The result stream is cut by the cancellation below.
+			_, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
 		firstErr <- err
 	}()
 	select {
@@ -180,10 +177,10 @@ func TestIdempotencyRetryAfterTimeout(t *testing.T) {
 	// retry must attach to the original, not enqueue again.
 	close(sp.release)
 	r2, u2 := idemUpload(t, hs, "carol", "carol-day-1", 20)
-	if r2.StatusCode != http.StatusOK {
-		t.Fatalf("retry: %d", r2.StatusCode)
+	if r2.Status != http.StatusOK {
+		t.Fatalf("retry: %d", r2.Status)
 	}
-	if r2.Header.Get(IdempotencyReplayHeader) != "true" {
+	if !r2.Replay {
 		t.Fatal("retry not served as replay")
 	}
 	if u2.Accepted != 20 {
@@ -201,36 +198,19 @@ func TestIdempotencyRetryAfterTimeout(t *testing.T) {
 // same job handle instead of a second job.
 func TestIdempotencyAsyncReplay(t *testing.T) {
 	srv, hs := newTestServer(t)
-	post := func() (int, JobStatus, string) {
-		body, _ := json.Marshal(UploadRequest{User: "dave", Records: sampleRecords(15)})
-		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload?async=1", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(IdempotencyKeyHeader, "dave-day-1")
-		resp, err := hs.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var j JobStatus
-		if resp.StatusCode == http.StatusAccepted {
-			if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return resp.StatusCode, j, resp.Header.Get(IdempotencyReplayHeader)
+	post := func() BatchResult {
+		return idemPost(t, hs, BatchChunk{User: "dave", Records: sampleRecords(15), Key: "dave-day-1", Async: true})
 	}
-	c1, j1, rep1 := post()
-	if c1 != http.StatusAccepted || rep1 != "" {
-		t.Fatalf("first async: %d replay=%q", c1, rep1)
+	r1 := post()
+	if r1.Status != http.StatusAccepted || r1.Replay || r1.Job == nil {
+		t.Fatalf("first async: %+v", r1)
 	}
-	c2, j2, rep2 := post()
-	if c2 != http.StatusAccepted || rep2 != "true" {
-		t.Fatalf("async replay: %d replay=%q", c2, rep2)
+	r2 := post()
+	if r2.Status != http.StatusAccepted || !r2.Replay || r2.Job == nil {
+		t.Fatalf("async replay: %+v", r2)
 	}
-	if j1.ID != j2.ID {
-		t.Fatalf("replay created a new job: %s vs %s", j1.ID, j2.ID)
+	if r1.Job.ID != r2.Job.ID {
+		t.Fatalf("replay created a new job: %s vs %s", r1.Job.ID, r2.Job.ID)
 	}
 	// Join the job through its idempotency entry (completed only after
 	// the commit) instead of sleep-polling the stats.
@@ -270,14 +250,14 @@ func TestIdempotencyFailureReleasesKey(t *testing.T) {
 	t.Cleanup(hs.Close)
 
 	r1, _ := idemUpload(t, hs, "boom-eve", "eve-day-1", 10)
-	if r1.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("first upload: %d, want 500", r1.StatusCode)
+	if r1.Status != http.StatusInternalServerError {
+		t.Fatalf("first upload: %d, want 500", r1.Status)
 	}
 	r2, _ := idemUpload(t, hs, "boom-eve", "eve-day-1", 10)
-	if r2.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("retry: %d, want 500 from a fresh execution", r2.StatusCode)
+	if r2.Status != http.StatusInternalServerError {
+		t.Fatalf("retry: %d, want 500 from a fresh execution", r2.Status)
 	}
-	if r2.Header.Get(IdempotencyReplayHeader) == "true" {
+	if r2.Replay {
 		t.Fatal("failed upload replayed instead of re-executed")
 	}
 	if fp.calls != 2 {
@@ -293,8 +273,8 @@ func TestIdempotencyKeyTooLong(t *testing.T) {
 		long[i] = 'k'
 	}
 	r, _ := idemUpload(t, hs, "alice", string(long), 10)
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized key: %d, want 400", r.StatusCode)
+	if r.Status != http.StatusBadRequest {
+		t.Fatalf("oversized key: %d, want 400", r.Status)
 	}
 }
 
@@ -367,8 +347,9 @@ func TestIdemStoreFailureCompactsOrder(t *testing.T) {
 }
 
 // TestIdempotencyShedAsyncJobStaysPollable: when a keyed async upload is
-// shed, the job handle a concurrent replay may have seen must resolve to
-// "failed", not 404, and the shed outcome must replay as 503.
+// shed (its wait for queue space abandoned), the job handle a concurrent
+// replay may have seen must resolve to "failed", not 404, and a retry
+// under the key must not be answered 500.
 func TestIdempotencyShedAsyncJobStaysPollable(t *testing.T) {
 	gp := &gatedProtector{started: make(chan string, 8), gate: make(chan struct{})}
 	srv, err := New(gp, WithWorkers(1), WithQueueDepth(1))
@@ -381,30 +362,22 @@ func TestIdempotencyShedAsyncJobStaysPollable(t *testing.T) {
 	c := NewClient(hs.URL)
 
 	// Occupy the worker, then fill the queue.
-	go c.Upload(trace.New("occupant", sampleRecords(3))) //nolint:errcheck
+	go uploadOne(c, trace.New("occupant", sampleRecords(3))) //nolint:errcheck
 	select {
 	case <-gp.started:
 	case <-time.After(5 * time.Second):
 		t.Fatal("occupant never reached the protector")
 	}
-	if _, err := c.UploadAsync(trace.New("filler", sampleRecords(3))); err != nil {
+	if _, err := uploadOneAsync(c, trace.New("filler", sampleRecords(3))); err != nil {
 		t.Fatal(err)
 	}
 
-	// A keyed async upload is now shed; its job must be failed-pollable.
-	body, _ := json.Marshal(UploadRequest{User: "frank", Records: sampleRecords(3)})
-	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload?async=1", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(IdempotencyKeyHeader, "frank-day-1")
-	resp, err := hs.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("shed status = %d, want 503", resp.StatusCode)
+	// A keyed async chunk whose client gives up while the queue is full
+	// is shed; its job must be failed-pollable.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out := srv.executeChunk(ctx, trace.New("frank", sampleRecords(3)), "frank-day-1", true); out.status != http.StatusServiceUnavailable {
+		t.Fatalf("shed status = %d, want 503", out.status)
 	}
 
 	// The job the (hypothetical) concurrent replay saw resolves "failed".
@@ -424,21 +397,13 @@ func TestIdempotencyShedAsyncJobStaysPollable(t *testing.T) {
 		t.Fatalf("shed keyed job state = %+v, want failed", j)
 	}
 
-	// The shed outcome replays as 503 (retryable), not 500 — and after
-	// releasing the gate the key is free so the retry truly executes.
-	r2, err := hs.Client().Do(func() *http.Request {
-		rq, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload?async=1", bytes.NewReader(body))
-		rq.Header.Set(IdempotencyKeyHeader, "frank-day-1")
-		return rq
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if r2.StatusCode == http.StatusInternalServerError {
-		t.Fatal("shed outcome replayed as 500; retrying clients treat that as fatal")
-	}
+	// The shed released the key, so the retry truly executes: it is
+	// accepted as a fresh job, never answered 500.
 	close(gp.gate)
+	r2 := idemPost(t, hs, BatchChunk{User: "frank", Records: sampleRecords(3), Key: "frank-day-1", Async: true})
+	if r2.Status != http.StatusAccepted || r2.Replay || r2.Job == nil || r2.Job.ID == jid {
+		t.Fatalf("retry after shed = %+v, want a fresh 202 job", r2)
+	}
 }
 
 // TestIdempotencyPayloadMismatch: reusing a key with a different body is
@@ -446,21 +411,21 @@ func TestIdempotencyShedAsyncJobStaysPollable(t *testing.T) {
 // first body's result.
 func TestIdempotencyPayloadMismatch(t *testing.T) {
 	srv, hs := newTestServer(t)
-	if r, _ := idemUpload(t, hs, "gina", "day-1", 20); r.StatusCode != http.StatusOK {
-		t.Fatalf("first upload: %d", r.StatusCode)
+	if r, _ := idemUpload(t, hs, "gina", "day-1", 20); r.Status != http.StatusOK {
+		t.Fatalf("first upload: %d", r.Status)
 	}
 	// Same key, different records (different count → different payload).
 	r2, _ := idemUpload(t, hs, "gina", "day-1", 21)
-	if r2.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("mismatched payload reuse: %d, want 422", r2.StatusCode)
+	if r2.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("mismatched payload reuse: %d, want 422", r2.Status)
 	}
 	if st := srv.Stats(); st.Uploads != 1 || st.RecordsIn != 20 {
 		t.Fatalf("mismatched payload affected state: %+v", st)
 	}
 	// The identical payload still replays fine afterwards.
 	r3, _ := idemUpload(t, hs, "gina", "day-1", 20)
-	if r3.StatusCode != http.StatusOK || r3.Header.Get(IdempotencyReplayHeader) != "true" {
-		t.Fatalf("replay after mismatch: %d", r3.StatusCode)
+	if r3.Status != http.StatusOK || !r3.Replay {
+		t.Fatalf("replay after mismatch: %d", r3.Status)
 	}
 }
 
@@ -469,37 +434,24 @@ func TestIdempotencyPayloadMismatch(t *testing.T) {
 // async contract), rebuilt from the entry's outcome.
 func TestIdempotencyAsyncReplayAfterJobEviction(t *testing.T) {
 	srv, hs := newTestServer(t)
-	post := func() (int, JobStatus) {
-		body, _ := json.Marshal(UploadRequest{User: "hank", Records: sampleRecords(12)})
-		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload?async=1", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(IdempotencyKeyHeader, "hank-day-1")
-		resp, err := hs.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var j JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, j
+	post := func() BatchResult {
+		return idemPost(t, hs, BatchChunk{User: "hank", Records: sampleRecords(12), Key: "hank-day-1", Async: true})
 	}
-	c1, j1 := post()
-	if c1 != http.StatusAccepted {
-		t.Fatalf("first async: %d", c1)
+	r1 := post()
+	if r1.Status != http.StatusAccepted || r1.Job == nil {
+		t.Fatalf("first async: %+v", r1)
 	}
+	j1 := *r1.Job
 	// Join the upload, then evict the job handle. The entry completes
 	// before the job is marked done, and remove tolerates either order.
 	waitIdemDone(t, srv, "hank", "hank-day-1", sampleRecords(12))
 	srv.jobs.remove(j1.ID)
 
-	c2, j2 := post()
-	if c2 != http.StatusOK {
-		t.Fatalf("post-eviction async replay: %d, want 200", c2)
+	r2 := post()
+	if r2.Status != http.StatusOK || r2.Job == nil {
+		t.Fatalf("post-eviction async replay: %+v, want 200 with a job", r2)
 	}
+	j2 := *r2.Job
 	if j2.ID != j1.ID || j2.State != JobDone || j2.Result == nil || j2.Result.Accepted != 12 {
 		t.Fatalf("rebuilt JobStatus wrong: %+v", j2)
 	}
@@ -584,13 +536,13 @@ func TestIdempotencyTTLEndToEnd(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 
-	if r, _ := idemUpload(t, hs, "ada", "chunk-1", 9); r.StatusCode != http.StatusOK {
-		t.Fatalf("first upload: %d", r.StatusCode)
+	if r, _ := idemUpload(t, hs, "ada", "chunk-1", 9); r.Status != http.StatusOK {
+		t.Fatalf("first upload: %d", r.Status)
 	}
 	clk.Advance(30 * time.Minute)
 	r2, _ := idemUpload(t, hs, "ada", "chunk-1", 9)
-	if r2.StatusCode != http.StatusOK || r2.Header.Get(IdempotencyReplayHeader) != "true" {
-		t.Fatalf("retry inside TTL: %d replay=%q", r2.StatusCode, r2.Header.Get(IdempotencyReplayHeader))
+	if r2.Status != http.StatusOK || !r2.Replay {
+		t.Fatalf("retry inside TTL: %d replay=%v", r2.Status, r2.Replay)
 	}
 	if srv.Stats().Uploads != 1 {
 		t.Fatalf("replay committed: %+v", srv.Stats())
@@ -598,8 +550,8 @@ func TestIdempotencyTTLEndToEnd(t *testing.T) {
 
 	clk.Advance(2 * time.Hour)
 	r3, _ := idemUpload(t, hs, "ada", "chunk-1", 9)
-	if r3.StatusCode != http.StatusOK || r3.Header.Get(IdempotencyReplayHeader) == "true" {
-		t.Fatalf("retry past TTL replayed instead of executing: %d", r3.StatusCode)
+	if r3.Status != http.StatusOK || r3.Replay {
+		t.Fatalf("retry past TTL replayed instead of executing: %d", r3.Status)
 	}
 	if fp.calls != 2 || srv.Stats().Uploads != 2 {
 		t.Fatalf("expired key did not re-execute: calls=%d stats=%+v", fp.calls, srv.Stats())

@@ -19,7 +19,7 @@ import (
 // accounting: for seeded random interleavings of sync uploads, async
 // uploads, keyed duplicates, invalid requests, engine failures,
 // retrain+quarantine passes and virtual-time jumps (rate-limit refill,
-// idempotency TTL expiry), the /v1/stats counters must always
+// idempotency TTL expiry), the /v2/stats counters must always
 //
 //   - satisfy records_in == records_published + records_rejected,
 //   - match a client-side model built from the observed responses
@@ -83,60 +83,54 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 	postUpload := func(user, key string, n int, async bool) {
 		t.Helper()
 		records := sampleRecords(n)
-		body, err := json.Marshal(UploadRequest{User: user, Records: records})
+		line, err := json.Marshal(BatchChunk{User: user, Records: records, Key: key, Async: async})
 		if err != nil {
 			t.Fatal(err)
 		}
-		target := "/v1/upload"
-		if async {
-			target += "?async=1"
-		}
-		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		if key != "" {
-			req.Header.Set(IdempotencyKeyHeader, key)
-		}
+		req := httptest.NewRequest(http.MethodPost, "/v2/traces", bytes.NewReader(append(line, '\n')))
+		req.Header.Set("Content-Type", NDJSONContentType)
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req)
-		replay := rec.Header().Get(IdempotencyReplayHeader) == "true"
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch answered %d: %s", rec.Code, rec.Body.String())
+		}
+		var res BatchResult
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+			t.Fatalf("undecodable result line: %s", rec.Body.String())
+		}
 
-		switch rec.Code {
+		switch res.Status {
 		case http.StatusOK:
-			if replay {
+			if res.Replay {
 				return // served from the window: must not change state
 			}
-			var resp UploadResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("undecodable 200: %s", rec.Body.String())
-			}
+			resp := *res.Result
 			exp.uploads++
 			exp.recordsIn += n
 			exp.published += resp.Accepted
 			exp.rejected += resp.Rejected
 			seen[user] = true
 		case http.StatusAccepted:
-			if replay {
+			if res.Replay {
 				// Replayed job handle; the original already counted.
 				return
 			}
-			// Join the job through its idempotency entry (async ops are
-			// always keyed here), then read the outcome it committed.
-			e, isNew := srv.idem.begin(user, key, uploadFingerprint(trace.New(user, records)))
-			if isNew {
-				t.Fatalf("async upload (%s,%s) lost its idempotency entry", user, key)
+			// Join the job: it turns terminal only after its commit (and
+			// its idempotency completion) landed. A failed job released
+			// its key, so the entry cannot be the join point.
+			deadline := time.Now().Add(5 * time.Second)
+			j, _ := srv.jobs.get(res.Job.ID)
+			for j.State != JobDone && j.State != JobFailed {
+				if time.Now().After(deadline) {
+					t.Fatalf("async upload (%s,%s) never completed", user, key)
+				}
+				time.Sleep(time.Millisecond)
+				j, _ = srv.jobs.get(res.Job.ID)
 			}
-			select {
-			case <-e.done:
-			case <-time.After(5 * time.Second):
-				t.Fatalf("async upload (%s,%s) never completed", user, key)
-			}
-			resp, done, jerr := srv.idem.outcome(e)
-			if !done {
-				t.Fatal("entry closed but not completed")
-			}
-			if jerr != nil {
+			if j.State == JobFailed {
 				return // failed job: nothing committed
 			}
+			resp := *j.Result
 			exp.uploads++
 			exp.recordsIn += n
 			exp.published += resp.Accepted
@@ -146,7 +140,7 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 			http.StatusUnprocessableEntity, http.StatusTooManyRequests:
 			// No commit. 500 = engine failure (boom-*), 4xx = client bugs.
 		default:
-			t.Fatalf("unexpected status %d: %s", rec.Code, rec.Body.String())
+			t.Fatalf("unexpected status %d: %+v", res.Status, res)
 		}
 	}
 
@@ -214,11 +208,12 @@ func runStatsInvariantProperty(t *testing.T, seed uint64) {
 		case 6: // keyed async upload
 			postUpload(user, fmt.Sprintf("a%d", rng.Intn(6)), 1+rng.Intn(20), true)
 		case 7: // invalid request: must change nothing
-			req := httptest.NewRequest(http.MethodPost, "/v1/upload", strings.NewReader(`{nope`))
+			req := httptest.NewRequest(http.MethodPost, "/v2/traces", strings.NewReader("{nope\n"))
 			rec := httptest.NewRecorder()
 			handler.ServeHTTP(rec, req)
-			if rec.Code != http.StatusBadRequest {
-				t.Fatalf("step %d: garbage answered %d", i, rec.Code)
+			var res BatchResult
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil || res.Status != http.StatusBadRequest {
+				t.Fatalf("step %d: garbage answered %d %s", i, rec.Code, rec.Body.String())
 			}
 		case 8: // retrain + quarantine pass
 			if _, err := srv.Retrain(); err != nil {

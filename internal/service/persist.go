@@ -3,16 +3,14 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
-	"mood/internal/store"
 	"mood/internal/trace"
 )
 
 // persistedFrag is the on-disk form of one published fragment. Owner is
 // the true uploader — required to re-audit the fragment after a retrain
 // (the protection predicate asks whether the attacks link the fragment
-// back to its real user). It never leaves the snapshot file. Seq is the
+// back to its real user). It never leaves the store. Seq is the
 // fragment's durable audit handle: keeping it stable across restarts
 // lets WAL quarantine records name fragments a snapshot carried, and
 // keeps the dataset ETag honest across a reboot.
@@ -22,17 +20,9 @@ type persistedFrag struct {
 	Owner string      `json:"owner"`
 }
 
-// persistedState is the on-disk snapshot of a Server. Shards are merged
-// on save and redistributed on load. Decoding stays backward compatible:
-// snapshots written before the dynamic-protection subsystem carry
-// `published` (bare traces, no owners) instead of `fragments`, and no
-// history or idempotency sections; snapshots written before the
-// durability layer carry no fragment seqs (reissued on load) and no
-// frag_seq watermark.
+// persistedState is the checkpoint snapshot of a Server. Shards are
+// merged on capture and redistributed on recovery.
 type persistedState struct {
-	// Published is the legacy fragment list (read-only; written by
-	// snapshots predating owner tracking).
-	Published []trace.Trace             `json:"published,omitempty"`
 	Fragments []persistedFrag           `json:"fragments,omitempty"`
 	Users     map[string]*UserStats     `json:"users"`
 	Stats     ServerStats               `json:"stats"`
@@ -45,7 +35,7 @@ type persistedState struct {
 	// Jobs carries the terminal (done/failed) async job handles so
 	// GET /v2/jobs/{id} keeps answering for completed uploads after a
 	// restart. Queued/running handles are still process-local: they
-	// drain before the shutdown snapshot, and a periodic snapshot
+	// drain before the shutdown checkpoint, and a periodic checkpoint
 	// cannot vouch for them.
 	Jobs     []JobStatus `json:"jobs,omitempty"`
 	Retrains int64       `json:"retrains,omitempty"`
@@ -54,9 +44,8 @@ type persistedState struct {
 	FragSeq int64 `json:"frag_seq,omitempty"`
 }
 
-// captureState serialises the server's state as one snapshot. It is the
-// shared capture for SaveState and the store checkpoint; Checkpoint
-// calls it under the write side of the consistency barrier.
+// captureState serialises the server's state as one snapshot.
+// Checkpoint calls it under the write side of the consistency barrier.
 func (s *Server) captureState() ([]byte, error) {
 	// Capture order is monotone with the pipeline's completion order:
 	// jobs first, then the idempotency table, then the shards. A job is
@@ -98,25 +87,6 @@ func (s *Server) captureState() ([]byte, error) {
 	return data, nil
 }
 
-// SaveState writes the server's published dataset and accounting to
-// path atomically (temp file, fsync, rename, directory sync). Operators
-// call it on shutdown or from a periodic snapshot loop; servers with a
-// configured Store checkpoint through it instead (see durable.go).
-// Concurrent calls are serialised so a slow earlier save cannot rename
-// an older snapshot over a newer one.
-func (s *Server) SaveState(path string) error {
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
-	data, err := s.captureState()
-	if err != nil {
-		return err
-	}
-	if err := store.AtomicWriteFile(nil, path, data); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	return nil
-}
-
 // applySnapshot replaces the server's state with a decoded snapshot.
 func (s *Server) applySnapshot(data []byte) error {
 	var state persistedState
@@ -126,23 +96,14 @@ func (s *Server) applySnapshot(data []byte) error {
 	if state.Users == nil {
 		state.Users = map[string]*UserStats{}
 	}
-	frags := make([]publishedFrag, 0, len(state.Fragments)+len(state.Published))
+	frags := make([]publishedFrag, len(state.Fragments))
 	maxSeq := state.FragSeq
-	for _, f := range state.Fragments {
-		frags = append(frags, publishedFrag{Seq: f.Seq, Trace: f.Trace, Owner: f.Owner})
+	for i, f := range state.Fragments {
+		frags[i] = publishedFrag{Seq: f.Seq, Trace: f.Trace, Owner: f.Owner}
 		if f.Seq > maxSeq {
 			maxSeq = f.Seq
 		}
 	}
-	for _, tr := range state.Published {
-		// Legacy snapshot: the owner was never written, so these
-		// fragments stay published but cannot be re-audited.
-		frags = append(frags, publishedFrag{Trace: tr})
-	}
-
-	// The watermark must be in place before resetShards reissues seqs
-	// for legacy fragments, or a fresh seq could collide with a durable
-	// one a WAL record still names.
 	s.fragSeq.Store(maxSeq)
 	s.resetShards(frags, state.History, state.Users)
 	s.idem.restore(state.Idempotency)
@@ -150,14 +111,4 @@ func (s *Server) applySnapshot(data []byte) error {
 	s.pseudo.Store(int64(state.Pseudo))
 	s.retrains.Store(state.Retrains)
 	return nil
-}
-
-// LoadState replaces the server's published dataset and accounting with
-// a snapshot written by SaveState. Call before serving traffic.
-func (s *Server) LoadState(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	return s.applySnapshot(data)
 }

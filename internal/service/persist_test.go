@@ -3,94 +3,10 @@ package service
 import (
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"mood/internal/trace"
 )
-
-func TestSaveLoadStateRoundTrip(t *testing.T) {
-	srv, hs := newTestServer(t)
-	c := NewClient(hs.URL)
-	if _, err := c.Upload(trace.New("alice", sampleRecords(10))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Upload(trace.New("reject-bob", sampleRecords(4))); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "state.json")
-	if err := srv.SaveState(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh server restored from the snapshot serves the same data.
-	restored, err := New(&fakeProtector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.LoadState(path); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := restored.Stats(), srv.Stats(); got != want {
-		t.Fatalf("restored stats %+v != original %+v", got, want)
-	}
-	hs2 := httptest.NewServer(restored.Handler())
-	defer hs2.Close()
-	c2 := NewClient(hs2.URL)
-	d, err := c2.Dataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumRecords() != 10 {
-		t.Fatalf("restored dataset has %d records", d.NumRecords())
-	}
-	us, err := c2.UserStats("reject-bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if us.RecordsRejected != 4 {
-		t.Fatalf("restored user stats = %+v", us)
-	}
-
-	// Pseudonym counter survives: new uploads must not collide.
-	if _, err := c2.Upload(trace.New("carol", sampleRecords(3))); err != nil {
-		t.Fatal(err)
-	}
-	d, err = c2.Dataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, tr := range d.Traces {
-		if seen[tr.User] {
-			t.Fatalf("pseudonym %q reused after restore", tr.User)
-		}
-		seen[tr.User] = true
-	}
-}
-
-func TestLoadStateErrors(t *testing.T) {
-	srv, _ := newTestServer(t)
-	if err := srv.LoadState("/nonexistent/state.json"); err == nil {
-		t.Fatal("missing file must error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := writeFile(bad, "{nope"); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.LoadState(bad); err == nil {
-		t.Fatal("garbage state must error")
-	}
-}
-
-func TestSaveStateBadDir(t *testing.T) {
-	srv, _ := newTestServer(t)
-	if err := srv.SaveState("/nonexistent-dir/state.json"); err == nil {
-		t.Fatal("unwritable path must error")
-	}
-}
 
 func TestWithAuth(t *testing.T) {
 	srv, err := New(&fakeProtector{})
@@ -102,7 +18,7 @@ func TestWithAuth(t *testing.T) {
 
 	// No token: rejected.
 	noAuth := NewClient(hs.URL)
-	if _, err := noAuth.Upload(trace.New("alice", sampleRecords(3))); err == nil {
+	if _, err := uploadOne(noAuth, trace.New("alice", sampleRecords(3))); err == nil {
 		t.Fatal("unauthenticated upload must fail")
 	}
 	// Wrong token: rejected.
@@ -112,7 +28,7 @@ func TestWithAuth(t *testing.T) {
 	}
 	// Right token: accepted.
 	ok := NewClient(hs.URL).SetAuthToken("sesame")
-	if _, err := ok.Upload(trace.New("alice", sampleRecords(3))); err != nil {
+	if _, err := uploadOne(ok, trace.New("alice", sampleRecords(3))); err != nil {
 		t.Fatal(err)
 	}
 	// Health stays open for probes.
@@ -124,8 +40,4 @@ func TestWithAuth(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz behind auth = %d", resp.StatusCode)
 	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }

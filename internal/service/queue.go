@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"mood/internal/core"
@@ -16,13 +15,13 @@ import (
 
 // The upload pipeline: every upload — synchronous or asynchronous — is
 // an uploadJob dispatched to a bounded worker pool. The queue provides
-// backpressure (503 + Retry-After when full) instead of letting a
-// traffic spike pile unbounded goroutines onto the CPU-heavy protection
-// engine. Synchronous callers block on the job's done channel so the
-// wire semantics are unchanged; async callers get a job ID and poll
-// GET /v1/jobs/{id}.
+// backpressure (an upload waits for queue space, pacing the stream that
+// carries it) instead of letting a traffic spike pile unbounded
+// goroutines onto the CPU-heavy protection engine. Synchronous callers
+// block on the job's done channel; async callers get a job ID and poll
+// GET /v2/jobs/{id}.
 
-// Job states reported by GET /v1/jobs/{id}.
+// Job states reported by GET /v2/jobs/{id}.
 const (
 	JobQueued  = "queued"
 	JobRunning = "running"
@@ -113,28 +112,12 @@ func newWorkerPool(workers, depth int, run func(*uploadJob)) *workerPool {
 	return p
 }
 
-// tryEnqueue offers the job to the queue without blocking; false means
-// the pool is stopped or the queue is full and the caller should shed
-// load.
-func (p *workerPool) tryEnqueue(j *uploadJob) bool {
-	p.stopMu.RLock()
-	defer p.stopMu.RUnlock()
-	if p.stopped {
-		return false
-	}
-	select {
-	case p.queue <- j:
-		return true
-	default:
-		return false
-	}
-}
-
 // enqueueWait blocks until the job is accepted, the context ends or the
-// pool stops — the batch endpoint's backpressure mode. Holding the read
-// lock across the blocking send is safe: close() cannot take the write
-// lock until we return, and the workers keep draining the queue until
-// close() proceeds, so the send always completes or the context fires.
+// pool stops: a full queue pushes back on the upload stream. Holding
+// the read lock across the blocking send is safe: close() cannot take
+// the write lock until we return, and the workers keep draining the
+// queue until close() proceeds, so the send always completes or the
+// context fires.
 func (p *workerPool) enqueueWait(ctx context.Context, j *uploadJob) bool {
 	p.stopMu.RLock()
 	defer p.stopMu.RUnlock()
@@ -348,26 +331,11 @@ func (s *Server) protect(p Protector, t trace.Trace) (res core.Result, err error
 	return res, nil
 }
 
-// handleJobGet serves GET /v{1,2}/jobs/{id}.
+// handleJobGet serves GET /v2/jobs/{id}.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	s.serveJob(w, r, r.PathValue("id"))
-}
-
-// handleJobFallback preserves the legacy /v1/jobs/ subtree behaviour:
-// an empty ID is a 400, a nested path can never name a job.
-func (s *Server) handleJobFallback(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	if id == "" {
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest, "missing job id")
-		return
-	}
-	s.serveJob(w, r, id)
-}
-
-func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, id string) {
-	j, ok := s.jobs.get(id)
+	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, r, http.StatusNotFound, CodeNotFound, "unknown job")
+		writeError(w, http.StatusNotFound, CodeNotFound, "unknown job")
 		return
 	}
 	writeJSON(w, http.StatusOK, j)
@@ -388,7 +356,7 @@ func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
 	switch state {
 	case "", JobQueued, JobRunning, JobDone, JobFailed:
 	default:
-		writeError(w, r, http.StatusBadRequest, CodeBadRequest,
+		writeError(w, http.StatusBadRequest, CodeBadRequest,
 			`unknown state filter (use "queued", "running", "done" or "failed")`)
 		return
 	}
@@ -396,7 +364,7 @@ func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
 	if raw := vals.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 || n > maxPageLimit {
-			writeError(w, r, http.StatusBadRequest, CodeBadRequest,
+			writeError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("limit must be an integer in 1..%d", maxPageLimit))
 			return
 		}

@@ -5,55 +5,66 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
+	"mood/internal/core"
+	"mood/internal/store"
 	"mood/internal/trace"
 )
 
 // TestRestartRecoveryEndToEnd is the full restart drill: upload (sync,
-// keyed, async), quarantine via a retrain pass, snapshot, boot a fresh
-// server from the snapshot, and verify the published dataset, the user
-// accounting, the global stats and keyed-retry replay all survived the
-// restart bit for bit.
+// keyed), quarantine via a retrain pass, close gracefully (final
+// checkpoint), boot a fresh server from the same WAL, and verify the
+// published dataset, the user accounting, the global stats and
+// keyed-retry replay all survived the restart bit for bit.
 func TestRestartRecoveryEndToEnd(t *testing.T) {
-	statePath := filepath.Join(t.TempDir(), "state.json")
+	disk := store.NewMemFS()
 	rt := RetrainerFunc(func(history []trace.Trace) (Protector, Auditor, error) {
 		return nil, ownerAuditor{prefix: "drift-"}, nil
 	})
 	newServer := func(mark string) *Server {
-		srv, err := New(&markedProtector{mark: mark}, WithRetrainer(rt, 0))
+		w, err := store.NewWAL(store.WALOptions{Dir: "wal", FS: disk, Fsync: store.FsyncAlways})
 		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(&markedProtector{mark: mark}, WithRetrainer(rt, 0),
+			WithStore(w), WithCheckpointInterval(-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Recover(); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
 		return srv
 	}
-
-	srv1 := newServer("gen0")
-	uploadKeyed := func(srv *Server, user, key string, n int) (UploadResponse, *http.Response) {
+	// upload posts one chunk as a one-line batch through the handler.
+	upload := func(srv *Server, user, key string, n int) BatchResult {
 		t.Helper()
-		body, _ := json.Marshal(UploadRequest{User: user, Records: sampleRecords(n)})
-		req, _ := http.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(body))
-		if key != "" {
-			req.Header.Set(IdempotencyKeyHeader, key)
-		}
+		line, _ := json.Marshal(BatchChunk{User: user, Records: sampleRecords(n), Key: key})
+		req := httptest.NewRequest(http.MethodPost, "/v2/traces", bytes.NewReader(append(line, '\n')))
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
+		var res BatchResult
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
 			t.Fatalf("upload %s: %d %s", user, rec.Code, rec.Body.String())
 		}
-		var out UploadResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			t.Fatal(err)
+		return res
+	}
+	uploadKeyed := func(srv *Server, user, key string, n int) UploadResponse {
+		t.Helper()
+		res := upload(srv, user, key, n)
+		if res.Status != http.StatusOK {
+			t.Fatalf("upload %s: %+v", user, res)
 		}
-		return out, rec.Result()
+		return *res.Result
 	}
 
-	origResp, _ := uploadKeyed(srv1, "alice", "chunk-2026-07-28", 10)
+	srv1 := newServer("gen0")
+
+	origResp := uploadKeyed(srv1, "alice", "chunk-2026-07-28", 10)
 	uploadKeyed(srv1, "bob", "", 7)
 	uploadKeyed(srv1, "drift-mallory", "", 5)
 
@@ -63,19 +74,15 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := srv1.SaveState(statePath); err != nil {
-		t.Fatal(err)
-	}
-
 	wantStats := srv1.Stats()
 	wantUsers := srv1.Users()
 	wantDataset := trace.NewDataset("published", srv1.publishedSnapshot())
 	_, _, wantUserStats, _ := srv1.fullSnapshot()
-
-	srv2 := newServer("gen0")
-	if err := srv2.LoadState(statePath); err != nil {
+	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	srv2 := newServer("gen0")
 
 	if got := srv2.Stats(); !reflect.DeepEqual(got, wantStats) {
 		t.Fatalf("stats after restart:\n got %+v\nwant %+v", got, wantStats)
@@ -94,22 +101,14 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 
 	// Keyed retry straddling the restart: the same (user, key, body)
 	// must replay the original outcome, not commit the chunk again.
-	body, _ := json.Marshal(UploadRequest{User: "alice", Records: sampleRecords(10)})
-	req, _ := http.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(body))
-	req.Header.Set(IdempotencyKeyHeader, "chunk-2026-07-28")
-	rec := httptest.NewRecorder()
-	srv2.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("keyed retry after restart: %d %s", rec.Code, rec.Body.String())
+	retry := upload(srv2, "alice", "chunk-2026-07-28", 10)
+	if retry.Status != http.StatusOK {
+		t.Fatalf("keyed retry after restart: %+v", retry)
 	}
-	if rec.Header().Get(IdempotencyReplayHeader) != "true" {
+	if !retry.Replay {
 		t.Fatal("keyed retry after restart was not served as a replay")
 	}
-	var replayed UploadResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &replayed); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(replayed, origResp) {
+	if replayed := *retry.Result; !reflect.DeepEqual(replayed, origResp) {
 		t.Fatalf("replayed %+v, want original %+v", replayed, origResp)
 	}
 	if got := srv2.Stats(); !reflect.DeepEqual(got, wantStats) {
@@ -118,13 +117,8 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 
 	// Key reuse with a different body is still a client error after the
 	// restart (the payload fingerprint survived too).
-	other, _ := json.Marshal(UploadRequest{User: "alice", Records: sampleRecords(3)})
-	req, _ = http.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(other))
-	req.Header.Set(IdempotencyKeyHeader, "chunk-2026-07-28")
-	rec = httptest.NewRecorder()
-	srv2.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("key reuse with new body after restart: %d", rec.Code)
+	if res := upload(srv2, "alice", "chunk-2026-07-28", 3); res.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("key reuse with new body after restart: %+v", res)
 	}
 
 	// The raw upload history survived: a retrain on the restarted server
@@ -145,51 +139,39 @@ func TestRestartRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestLoadStateLegacySnapshot keeps the old snapshot format readable:
-// bare published traces (no owners, no history, no idempotency).
-func TestLoadStateLegacySnapshot(t *testing.T) {
-	statePath := filepath.Join(t.TempDir(), "legacy.json")
-	legacy := map[string]any{
-		"published": []trace.Trace{trace.New("anon-1", sampleRecords(4))},
-		"users": map[string]*UserStats{
-			"alice": {Uploads: 1, RecordsIn: 4, RecordsPublished: 4, Pieces: 1},
-		},
-		"stats":  ServerStats{Uploads: 1, Users: 1, RecordsIn: 4, RecordsPublished: 4, PublishedTraces: 1},
-		"pseudo": 7,
-	}
-	data, err := json.Marshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(statePath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+// identityProtector publishes every upload whole under the uploader's
+// ID, which the server relabels from its own pseudonym counter.
+type identityProtector struct{}
 
-	srv, err := New(&markedProtector{mark: "gen0"},
-		WithRetrainer(RetrainerFunc(func([]trace.Trace) (Protector, Auditor, error) {
-			return nil, ownerAuditor{prefix: ""}, nil // condemns every known owner
-		}), 0))
-	if err != nil {
+func (identityProtector) Protect(t trace.Trace) (core.Result, error) {
+	return core.Result{User: t.User, TotalRecords: t.Len(),
+		Pieces: []core.Piece{{Trace: t, Mechanism: "identity", SourceRecords: t.Len()}}}, nil
+}
+
+// TestPseudonymCounterSurvivesRestart: the server-issued pseudonym
+// counter is durable, so an upload after a reboot never reuses a
+// pseudonym already published before it.
+func TestPseudonymCounterSurvivesRestart(t *testing.T) {
+	disk := store.NewMemFS()
+	srv1, hs1 := newWALServer(t, disk, identityProtector{})
+	if _, err := uploadOne(NewClient(hs1.URL), trace.New("alice", sampleRecords(3))); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	if err := srv.LoadState(statePath); err != nil {
+	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.Uploads != 1 || st.PublishedTraces != 1 || st.Users != 1 {
-		t.Fatalf("legacy stats = %+v", st)
-	}
-	// Legacy fragments have no owner, so a re-audit must leave them
-	// alone rather than judging them against the wrong identity.
-	report, err := srv.Retrain()
-	if err != nil {
+	srv2, hs2 := newWALServer(t, disk, identityProtector{})
+	if _, err := uploadOne(NewClient(hs2.URL), trace.New("bob", sampleRecords(3))); err != nil {
 		t.Fatal(err)
 	}
-	if report.Audited != 0 || report.Quarantined != 0 {
-		t.Fatalf("legacy fragments audited: %+v", report)
+	seen := map[string]bool{}
+	for _, tr := range srv2.publishedSnapshot() {
+		if seen[tr.User] {
+			t.Fatalf("pseudonym %q reused after restart", tr.User)
+		}
+		seen[tr.User] = true
 	}
-	if got := srv.Stats().PublishedTraces; got != 1 {
-		t.Fatalf("legacy fragment count after audit = %d", got)
+	if len(seen) != 2 {
+		t.Fatalf("published pseudonyms = %v, want 2", seen)
 	}
 }

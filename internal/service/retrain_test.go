@@ -82,10 +82,10 @@ func TestRetrainSwapsProtectorAndQuarantines(t *testing.T) {
 	_, hs := newRetrainServer(t, rt)
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(10))); err != nil {
+	if _, err := uploadOne(c, trace.New("alice", sampleRecords(10))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Upload(trace.New("drift-bob", sampleRecords(8))); err != nil {
+	if _, err := uploadOne(c, trace.New("drift-bob", sampleRecords(8))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,7 +144,7 @@ func TestRetrainSwapsProtectorAndQuarantines(t *testing.T) {
 	}
 
 	// Uploads now run on the swapped engine.
-	resp, err := c.Upload(trace.New("carol", sampleRecords(4)))
+	resp, err := uploadOne(c, trace.New("carol", sampleRecords(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRetrainHotSwapHasNoUploadDowntime(t *testing.T) {
 	srv, hs := newRetrainServer(t, rt)
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(3))); err != nil {
+	if _, err := uploadOne(c, trace.New("alice", sampleRecords(3))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -178,7 +178,7 @@ func TestRetrainHotSwapHasNoUploadDowntime(t *testing.T) {
 	// The retrainer is mid-rebuild: uploads must keep flowing on the old
 	// engine, not wait for the swap.
 	for i := 0; i < 5; i++ {
-		resp, err := c.Upload(trace.New(fmt.Sprintf("user-%d", i), sampleRecords(2)))
+		resp, err := uploadOne(c, trace.New(fmt.Sprintf("user-%d", i), sampleRecords(2)))
 		if err != nil {
 			t.Fatalf("upload during retrain: %v", err)
 		}
@@ -191,7 +191,7 @@ func TestRetrainHotSwapHasNoUploadDowntime(t *testing.T) {
 	if err := <-retrained; err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Upload(trace.New("late", sampleRecords(2)))
+	resp, err := uploadOne(c, trace.New("late", sampleRecords(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRetrainErrorKeepsServing(t *testing.T) {
 	if _, err := c.Retrain(); err == nil || !strings.Contains(err.Error(), "no converged model") {
 		t.Fatalf("retrain error = %v", err)
 	}
-	resp, err := c.Upload(trace.New("alice", sampleRecords(2)))
+	resp, err := uploadOne(c, trace.New("alice", sampleRecords(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,10 +246,10 @@ func TestHistoryCapBoundsPerUserHistory(t *testing.T) {
 	srv, hs := newRetrainServer(t, rt, WithHistoryCap(5))
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("alice", sampleRecords(8))); err != nil {
+	if _, err := uploadOne(c, trace.New("alice", sampleRecords(8))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Upload(trace.New("alice", sampleRecords(4))); err != nil {
+	if _, err := uploadOne(c, trace.New("alice", sampleRecords(4))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Retrain(); err != nil {
@@ -268,7 +268,7 @@ func TestHistoryCapBoundsPerUserHistory(t *testing.T) {
 func TestNoHistoryWithoutRetrainer(t *testing.T) {
 	srv, hs := newTestServer(t)
 	c := NewClient(hs.URL)
-	if _, err := c.Upload(trace.New("alice", sampleRecords(6))); err != nil {
+	if _, err := uploadOne(c, trace.New("alice", sampleRecords(6))); err != nil {
 		t.Fatal(err)
 	}
 	if h := srv.historySnapshot(); len(h) != 0 {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -60,6 +59,33 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return srv, hs
 }
 
+// uploadOne sends t as a one-line /v2/traces batch and waits for its
+// outcome. A chunk that did not complete with 200 is returned as a
+// *StatusError carrying the chunk's status and problem code.
+func uploadOne(c *Client, t trace.Trace) (UploadResponse, error) {
+	res, err := c.UploadBatch([]BatchChunk{{User: t.User, Records: t.Records}})
+	if err != nil {
+		return UploadResponse{}, err
+	}
+	if res[0].Status != http.StatusOK {
+		return UploadResponse{}, &StatusError{Code: res[0].Status, Msg: res[0].Error, ProblemCode: res[0].Code}
+	}
+	return *res[0].Result, nil
+}
+
+// uploadOneAsync sends t as a one-line async batch and returns the job
+// handle of the 202.
+func uploadOneAsync(c *Client, t trace.Trace) (JobStatus, error) {
+	res, err := c.UploadBatch([]BatchChunk{{User: t.User, Records: t.Records, Async: true}})
+	if err != nil {
+		return JobStatus{}, err
+	}
+	if res[0].Status != http.StatusAccepted {
+		return JobStatus{}, &StatusError{Code: res[0].Status, Msg: res[0].Error, ProblemCode: res[0].Code}
+	}
+	return *res[0].Job, nil
+}
+
 func sampleRecords(n int) []trace.Record {
 	base := geo.Point{Lat: 45.7, Lon: 4.8}
 	rs := make([]trace.Record, n)
@@ -73,7 +99,7 @@ func TestUploadAndDataset(t *testing.T) {
 	_, hs := newTestServer(t)
 	c := NewClient(hs.URL)
 
-	resp, err := c.Upload(trace.New("alice", sampleRecords(10)))
+	resp, err := uploadOne(c, trace.New("alice", sampleRecords(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +126,7 @@ func TestUploadRejectionAccounting(t *testing.T) {
 	srv, hs := newTestServer(t)
 	c := NewClient(hs.URL)
 
-	if _, err := c.Upload(trace.New("reject-bob", sampleRecords(7))); err != nil {
+	if _, err := uploadOne(c, trace.New("reject-bob", sampleRecords(7))); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats()
@@ -126,12 +152,8 @@ func TestUploadValidation(t *testing.T) {
 	_, hs := newTestServer(t)
 
 	post := func(body string) int {
-		resp, err := http.Post(hs.URL+"/v1/upload", "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		return resp.StatusCode
+		_, results := postNDJSON(t, hs.URL, body+"\n", nil)
+		return results[0].Status
 	}
 	tests := []struct {
 		name string
@@ -153,19 +175,19 @@ func TestUploadValidation(t *testing.T) {
 
 func TestUploadMethodChecks(t *testing.T) {
 	_, hs := newTestServer(t)
-	resp, err := http.Get(hs.URL + "/v1/upload")
+	resp, err := http.Get(hs.URL + "/v2/traces")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/upload = %d", resp.StatusCode)
+		t.Fatalf("GET /v2/traces = %d", resp.StatusCode)
 	}
 }
 
 func TestUnknownUser404(t *testing.T) {
 	_, hs := newTestServer(t)
-	resp, err := http.Get(hs.URL + "/v1/users/nobody")
+	resp, err := http.Get(hs.URL + "/v2/users/nobody")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +200,7 @@ func TestUnknownUser404(t *testing.T) {
 func TestProtectorErrorBecomes500(t *testing.T) {
 	_, hs := newTestServer(t)
 	c := NewClient(hs.URL)
-	_, err := c.Upload(trace.New("boom-user", sampleRecords(3)))
+	_, err := uploadOne(c, trace.New("boom-user", sampleRecords(3)))
 	if err == nil || !strings.Contains(err.Error(), "500") {
 		t.Fatalf("err = %v, want 500", err)
 	}
@@ -205,7 +227,7 @@ func TestConcurrentUploads(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			u := fmt.Sprintf("user-%d", i)
-			if _, err := c.Upload(trace.New(u, sampleRecords(5))); err != nil {
+			if _, err := uploadOne(c, trace.New(u, sampleRecords(5))); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -223,18 +245,23 @@ func TestConcurrentUploads(t *testing.T) {
 func TestUploadDailyChunksClientSide(t *testing.T) {
 	srv, hs := newTestServer(t)
 	c := NewClient(hs.URL)
-	// A 3-day trace should produce 3 daily uploads.
+	// A 3-day trace should produce 3 daily chunks.
 	rs := make([]trace.Record, 0, 72)
 	base := geo.Point{Lat: 45.7, Lon: 4.8}
 	for h := 0; h < 72; h++ {
 		rs = append(rs, trace.At(base, int64(h)*3600))
 	}
-	resps, err := c.UploadDaily(trace.New("chunker", rs))
+	resps, err := c.UploadChunks(trace.New("chunker", rs), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resps) < 3 {
 		t.Fatalf("daily uploads = %d, want >= 3", len(resps))
+	}
+	for _, r := range resps {
+		if r.Status != http.StatusOK {
+			t.Fatalf("chunk %d: %+v", r.Index, r)
+		}
 	}
 	if srv.Stats().Uploads != len(resps) {
 		t.Fatalf("server saw %d uploads, client made %d", srv.Stats().Uploads, len(resps))
@@ -279,12 +306,17 @@ func TestEndToEndWithRealEngine(t *testing.T) {
 
 	// One participant uploads their daily chunks.
 	victim := test.Traces[0]
-	resps, err := c.UploadDaily(victim)
+	resps, err := c.UploadChunks(victim, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resps) == 0 {
 		t.Fatal("no daily chunks uploaded")
+	}
+	for _, r := range resps {
+		if r.Status != http.StatusOK {
+			t.Fatalf("chunk %d: %+v", r.Index, r)
+		}
 	}
 
 	// The published dataset must not re-identify the participant.
@@ -305,10 +337,10 @@ func TestEndToEndWithRealEngine(t *testing.T) {
 func TestDatasetEndpointJSONShape(t *testing.T) {
 	_, hs := newTestServer(t)
 	c := NewClient(hs.URL)
-	if _, err := c.Upload(trace.New("alice", sampleRecords(4))); err != nil {
+	if _, err := uploadOne(c, trace.New("alice", sampleRecords(4))); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(hs.URL + "/v1/dataset")
+	resp, err := http.Get(hs.URL + "/v2/dataset")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,10 +370,15 @@ func TestDatasetEndpointJSONShape(t *testing.T) {
 func TestDatasetCSVEndpoint(t *testing.T) {
 	_, hs := newTestServer(t)
 	c := NewClient(hs.URL)
-	if _, err := c.Upload(trace.New("alice", sampleRecords(6))); err != nil {
+	if _, err := uploadOne(c, trace.New("alice", sampleRecords(6))); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(hs.URL + "/v1/dataset.csv")
+	req, err := http.NewRequest(http.MethodGet, hs.URL+"/v2/dataset", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/csv")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

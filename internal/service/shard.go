@@ -65,7 +65,7 @@ func (st *ServerStats) accumulate(sh *stateShard) {
 }
 
 // statsSnapshot sums the per-shard partial counters into the global
-// view clients see on /v1/stats. The retrain counter lives outside the
+// view clients see on /v2/stats. The retrain counter lives outside the
 // shards (a retrain pass is global, not per-user).
 func (s *Server) statsSnapshot() ServerStats {
 	var out ServerStats
@@ -162,10 +162,10 @@ func (s *Server) fullSnapshot() (published []publishedFrag, history map[string][
 }
 
 // resetShards replaces the whole sharded state with the given snapshot
-// (used by LoadState). Per-shard partial stats are rederived from the
+// (used by Recover). Per-shard partial stats are rederived from the
 // user accounting, which sums exactly to the persisted global stats.
-// Fragment sequence numbers persist (WAL quarantine records name them
-// across restarts); only legacy seq-less fragments get fresh handles.
+// Fragment sequence numbers persist: WAL quarantine records name them
+// across restarts.
 func (s *Server) resetShards(published []publishedFrag, history map[string][]trace.Record, users map[string]*UserStats) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -193,21 +193,9 @@ func (s *Server) resetShards(published []publishedFrag, history map[string][]tra
 	for _, f := range published {
 		// Fragments live in their owner's shard (as the commit path
 		// stores them), so a quarantine updates the fragment list and
-		// the owner's accounting under one lock. Legacy snapshots carry
-		// no owner; those fragments shard by their published label and
-		// are exempt from re-audit anyway.
-		key := f.Owner
-		if key == "" {
-			key = f.Trace.User
-		}
-		sh := s.shard(key)
+		// the owner's accounting under one lock.
+		sh := s.shard(f.Owner)
 		sh.mu.Lock()
-		// Snapshots written by the durability layer carry stable seqs;
-		// only legacy fragments (seq 0) get a fresh handle, above the
-		// restored watermark so it cannot collide with a durable one.
-		if f.Seq == 0 {
-			f.Seq = s.fragSeq.Add(1)
-		}
 		sh.published = append(sh.published, f)
 		sh.mu.Unlock()
 	}

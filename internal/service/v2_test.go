@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mood/internal/store"
 	"mood/internal/trace"
 	"mood/internal/traceio"
 )
@@ -363,7 +363,7 @@ func TestDatasetPagination(t *testing.T) {
 		}
 	}
 
-	// The full fetch through pages must equal the v1 whole-corpus view.
+	// The full fetch through pages must equal the whole-corpus view.
 	whole, err := c.Dataset()
 	if err != nil {
 		t.Fatal(err)
@@ -509,7 +509,7 @@ func TestDatasetContentNegotiation(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Uniform 405 + Allow, HEAD support, deprecation headers.
+// Uniform 405 + Allow, HEAD support.
 
 func TestMethodNotAllowedFromRouteTable(t *testing.T) {
 	_, hs := newTestServer(t)
@@ -521,8 +521,6 @@ func TestMethodNotAllowedFromRouteTable(t *testing.T) {
 		{"GET", "/v2/traces", "POST"},
 		{"DELETE", "/v2/dataset", "GET, HEAD"},
 		{"POST", "/v2/stats", "GET, HEAD"},
-		{"PUT", "/v1/upload", "POST"},
-		{"POST", "/v1/dataset", "GET, HEAD"},
 		{"POST", "/healthz", "GET, HEAD"},
 	}
 	for _, c := range cases {
@@ -541,20 +539,15 @@ func TestMethodNotAllowedFromRouteTable(t *testing.T) {
 		if got := resp.Header.Get("Allow"); got != c.wantAllow {
 			t.Fatalf("%s %s: Allow = %q, want %q", c.method, c.path, got, c.wantAllow)
 		}
-		// The dialect matches the surface.
-		wantCT := ProblemContentType
-		if !strings.HasPrefix(c.path, "/v2/") {
-			wantCT = "application/json"
-		}
-		if got := resp.Header.Get("Content-Type"); got != wantCT {
-			t.Fatalf("%s %s: Content-Type = %q, want %q", c.method, c.path, got, wantCT)
+		if got := resp.Header.Get("Content-Type"); got != ProblemContentType {
+			t.Fatalf("%s %s: Content-Type = %q, want %q", c.method, c.path, got, ProblemContentType)
 		}
 	}
 }
 
 func TestHeadOnGetResources(t *testing.T) {
 	_, hs := seedDataset(t, 2)
-	for _, path := range []string{"/v2/stats", "/v2/dataset", "/v2/metrics", "/v2/openapi.json", "/v1/stats", "/healthz"} {
+	for _, path := range []string{"/v2/stats", "/v2/dataset", "/v2/metrics", "/v2/openapi.json", "/healthz"} {
 		resp, err := http.Head(hs.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -570,44 +563,8 @@ func TestHeadOnGetResources(t *testing.T) {
 	}
 }
 
-func TestV1DeprecationHeaders(t *testing.T) {
-	_, hs := newTestServer(t)
-	cases := map[string]string{
-		"/v1/stats":       "</v2/stats>; rel=\"successor-version\"",
-		"/v1/dataset":     "</v2/dataset>; rel=\"successor-version\"",
-		"/v1/metrics":     "</v2/metrics>; rel=\"successor-version\"",
-		"/v1/jobs/nope":   "</v2/jobs/{id}>; rel=\"successor-version\"",
-		"/v1/users/ghost": "</v2/users/{id}>; rel=\"successor-version\"",
-	}
-	for path, wantLink := range cases {
-		resp, err := http.Get(hs.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if got := resp.Header.Get("Deprecation"); got != v1Deprecation {
-			t.Fatalf("%s: Deprecation = %q, want %q", path, got, v1Deprecation)
-		}
-		if got := resp.Header.Get("Link"); got != wantLink {
-			t.Fatalf("%s: Link = %q, want %q", path, got, wantLink)
-		}
-	}
-
-	// v2 and shared routes carry no deprecation headers.
-	for _, path := range []string{"/v2/stats", "/healthz"} {
-		resp, err := http.Get(hs.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Link") != "" {
-			t.Fatalf("%s unexpectedly deprecated", path)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Problem+json coverage of the middleware layers on /v2.
+// Problem+json coverage of the middleware layers.
 
 func TestV2ProblemDialect(t *testing.T) {
 	t.Run("not_found", func(t *testing.T) {
@@ -695,12 +652,77 @@ func TestV2ProblemDialect(t *testing.T) {
 	})
 }
 
+// TestUnroutedRequestsAnswerProblems pins the single error dialect on
+// requests that match no route: once the middleware refuses them —
+// throttled or unauthenticated — the answer is still a problem document
+// with a stable code, never a second error shape.
+func TestUnroutedRequestsAnswerProblems(t *testing.T) {
+	t.Run("throttled", func(t *testing.T) {
+		srv, err := New(&fakeProtector{}, WithRateLimit(1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		hs := httptest.NewServer(srv.Handler())
+		defer hs.Close()
+		for i := 0; i < 2; i++ {
+			resp, err := http.Get(hs.URL + "/no/such/route")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if i == 1 {
+				if resp.StatusCode != http.StatusTooManyRequests {
+					t.Fatalf("status = %d, want 429", resp.StatusCode)
+				}
+				assertProblem(t, resp, CodeRateLimited)
+			}
+		}
+	})
+	t.Run("unauthorized", func(t *testing.T) {
+		srv, err := New(&fakeProtector{}, WithAuthToken("sesame"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		hs := httptest.NewServer(srv.Handler())
+		defer hs.Close()
+		resp, err := http.Get(hs.URL + "/retired/upload")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusUnauthorized {
+			t.Fatalf("status = %d, want 401", resp.StatusCode)
+		}
+		assertProblem(t, resp, CodeUnauthorized)
+	})
+}
+
+// TestDecodeErrorReadsRouterProblems: a problem document from the
+// cluster router (not a node) reaches the client as a StatusError with
+// the router's stable code, so callers can branch on it.
+func TestDecodeErrorReadsRouterProblems(t *testing.T) {
+	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeProblem(w, NewProblem(http.StatusServiceUnavailable, CodeRouting, "owner n01 failing over"))
+	}))
+	defer router.Close()
+	_, err := NewClient(router.URL).Stats()
+	var se *StatusError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want a *StatusError", err)
+	}
+	if se.Code != http.StatusServiceUnavailable || se.ProblemCode != CodeRouting || se.Msg != "owner n01 failing over" {
+		t.Fatalf("StatusError = %+v, want 503 %s with the detail", se, CodeRouting)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Jobs listing and restart persistence.
 
 func TestJobsListAndPersistence(t *testing.T) {
-	dir := t.TempDir()
-	srv, hs := newTestServer(t)
+	disk := store.NewMemFS()
+	srv, hs := newWALServer(t, disk, &fakeProtector{})
 	c := NewClient(hs.URL)
 
 	chunks := []BatchChunk{
@@ -751,22 +773,13 @@ func TestJobsListAndPersistence(t *testing.T) {
 		assertProblem(t, resp, CodeBadRequest)
 	}
 
-	// Snapshot, reboot, and the terminal handles must still answer —
-	// the documented "handles are in-memory" caveat is closed.
-	state := filepath.Join(dir, "state.json")
-	if err := srv.SaveState(state); err != nil {
+	// Close, reboot from the same log, and the terminal handles must
+	// still answer — the documented "handles are in-memory" caveat is
+	// closed.
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reborn, err := New(&fakeProtector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reborn.Close()
-	if err := reborn.LoadState(state); err != nil {
-		t.Fatal(err)
-	}
-	hs2 := httptest.NewServer(reborn.Handler())
-	defer hs2.Close()
+	_, hs2 := newWALServer(t, disk, &fakeProtector{})
 	c2 := NewClient(hs2.URL)
 	for i, id := range ids {
 		j, err := c2.Job(id)
@@ -786,34 +799,6 @@ func TestJobsListAndPersistence(t *testing.T) {
 	}
 	if list2.Total != 2 {
 		t.Fatalf("done jobs after restart: %+v", list2)
-	}
-
-	// Legacy snapshots without a jobs section still load (the section
-	// is additive).
-	raw, err := os.ReadFile(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var generic map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &generic); err != nil {
-		t.Fatal(err)
-	}
-	delete(generic, "jobs")
-	legacy, err := json.Marshal(generic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyPath := filepath.Join(dir, "legacy.json")
-	if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old, err := New(&fakeProtector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	if err := old.LoadState(legacyPath); err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
 	}
 }
 
@@ -861,11 +846,5 @@ func TestOpenAPIMatchesRouteTable(t *testing.T) {
 		if !declared[op] {
 			t.Errorf("OpenAPI operation %q has no route table entry", op)
 		}
-	}
-
-	// Deprecated v1 operations must say so.
-	v1op, ok := paths["/v1/upload"].(map[string]any)["post"].(map[string]any)
-	if !ok || v1op["deprecated"] != true {
-		t.Fatalf("/v1/upload not marked deprecated: %v", v1op)
 	}
 }

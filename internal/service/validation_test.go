@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,57 +8,58 @@ import (
 	"testing"
 )
 
-// postUpload sends a raw upload and returns the status code.
-func postUpload(t *testing.T, baseURL, query, body string) int {
+// postChunk sends one chunk line for user as a one-line /v2/traces
+// batch and returns the chunk's status. async is spliced into the line
+// verbatim as the "async" value and key as the idempotency key; empty
+// values are omitted.
+func postChunk(t *testing.T, baseURL, user, async, key string) int {
 	t.Helper()
-	url := baseURL + "/v1/upload"
-	if query != "" {
-		url += "?" + query
-	}
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	u, err := json.Marshal(user)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	return resp.StatusCode
-}
-
-func uploadBody(t *testing.T, user string) string {
-	t.Helper()
-	b, err := json.Marshal(UploadRequest{User: user, Records: sampleRecords(3)})
+	recs, err := json.Marshal(sampleRecords(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	line := `{"user":` + string(u) + `,"records":` + string(recs)
+	if async != "" {
+		line += `,"async":` + async
+	}
+	if key != "" {
+		line += `,"key":"` + key + `"`
+	}
+	_, results := postNDJSON(t, baseURL, line+"}\n", nil)
+	return results[0].Status
 }
 
-// Regression for the async-parameter bug: every value except ""/"0"/
-// "false" used to run async and answer 202, so `?async=no` silently
-// detached the upload from the response the client was waiting on.
+// Regression for the async-selector bug: a value that is not a JSON
+// boolean must be rejected, never guessed at — a guess of "async" would
+// detach the upload from the result the client is waiting on.
 func TestAsyncParamValidation(t *testing.T) {
-	_, hs := newTestServer(t)
-	body := uploadBody(t, "alice")
+	srv, hs := newTestServer(t)
 
-	for _, q := range []string{"", "async=0", "async=false", "async=FALSE"} {
-		if code := postUpload(t, hs.URL, q, body); code != http.StatusOK {
-			t.Errorf("%q: code %d, want 200 (sync)", q, code)
+	for _, v := range []string{`"no"`, `"yes"`, `"true"`, "0", "1", "2"} {
+		if code := postChunk(t, hs.URL, "bob", v, ""); code != http.StatusBadRequest {
+			t.Errorf("async %s: code %d, want 400", v, code)
 		}
 	}
-	for _, q := range []string{"async=1", "async=true", "async=TRUE"} {
-		if code := postUpload(t, hs.URL, q, body); code != http.StatusAccepted {
-			t.Errorf("%q: code %d, want 202 (async)", q, code)
+	if st := srv.Stats(); st.Uploads != 0 {
+		t.Fatalf("a chunk with an invalid async selector was committed: %+v", st)
+	}
+	for _, v := range []string{"", "false"} {
+		if code := postChunk(t, hs.URL, "alice", v, ""); code != http.StatusOK {
+			t.Errorf("async %q: code %d, want 200 (sync)", v, code)
 		}
 	}
-	for _, q := range []string{"async=no", "async=yes", "async=2", "async=async"} {
-		if code := postUpload(t, hs.URL, q, body); code != http.StatusBadRequest {
-			t.Errorf("%q: code %d, want 400", q, code)
-		}
+	if code := postChunk(t, hs.URL, "alice", "true", ""); code != http.StatusAccepted {
+		t.Errorf("async true: code %d, want 202 (async)", code)
 	}
 }
 
 // Regression for the routing hole: user IDs containing '/' were accepted
-// at upload but unreachable via GET /v1/users/{id} (the path is trimmed
-// at the first '/'), leaving accounting no client could ever read.
+// at upload but unreachable via GET /v2/users/{id} (a path segment),
+// leaving accounting no client could ever read.
 func TestUserIDValidation(t *testing.T) {
 	_, hs := newTestServer(t)
 
@@ -75,7 +75,7 @@ func TestUserIDValidation(t *testing.T) {
 		strings.Repeat("x", maxUserIDLen+1),
 	}
 	for _, id := range bad {
-		if code := postUpload(t, hs.URL, "", uploadBody(t, id)); code != http.StatusBadRequest {
+		if code := postChunk(t, hs.URL, id, "", ""); code != http.StatusBadRequest {
 			t.Errorf("user %q: code %d, want 400", id, code)
 		}
 	}
@@ -85,7 +85,7 @@ func TestUserIDValidation(t *testing.T) {
 	good := []string{"alice", "user-42", "Ünïcôdé", "dots.and_underscores", strings.Repeat("y", maxUserIDLen)}
 	c := NewClient(hs.URL)
 	for _, id := range good {
-		if code := postUpload(t, hs.URL, "", uploadBody(t, id)); code != http.StatusOK {
+		if code := postChunk(t, hs.URL, id, "", ""); code != http.StatusOK {
 			t.Fatalf("user %q: code %d, want 200", id, code)
 		}
 		us, err := c.UserStats(id)
@@ -102,34 +102,11 @@ func TestUserIDValidation(t *testing.T) {
 // async value on a retry is rejected before the key is consulted.
 func TestAsyncParamValidationOnKeyedRetry(t *testing.T) {
 	_, hs := newTestServer(t)
-	body := uploadBody(t, "alice")
-
-	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/upload", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
+	if code := postChunk(t, hs.URL, "alice", "", "k1"); code != http.StatusOK {
+		t.Fatalf("original upload: %d", code)
 	}
-	req.Header.Set(IdempotencyKeyHeader, "k1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("original upload: %d", resp.StatusCode)
-	}
-
-	req, err = http.NewRequest(http.MethodPost, hs.URL+"/v1/upload?async=maybe", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(IdempotencyKeyHeader, "k1")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("retry with invalid async: %d, want 400", resp.StatusCode)
+	if code := postChunk(t, hs.URL, "alice", `"maybe"`, "k1"); code != http.StatusBadRequest {
+		t.Fatalf("retry with invalid async: %d, want 400", code)
 	}
 }
 

@@ -2,14 +2,10 @@
 // records are appended at upload time, replayed on boot, and compacted
 // into snapshots in the background.
 //
-// Two backends implement Store. JSONFile wraps the historical
-// single-file JSON snapshot (byte-compatible with snapshots written
-// before this package existed): appends are bookkeeping only, and
-// durability comes entirely from compaction — the original
-// "snapshot once a minute, lose up to a minute on a crash" contract.
-// WAL is a segmented append-only write-ahead log with CRC32C-framed
-// records, configurable fsync policy, segment rotation and torn-tail
-// recovery: an acked record survives any crash (see wal.go).
+// WAL implements Store: a segmented append-only write-ahead log with
+// CRC32C-framed records, configurable fsync policy, segment rotation
+// and torn-tail recovery. An acked record survives any crash (see
+// wal.go).
 //
 // The record payloads are opaque to this package — the service tier
 // defines the record types and their encoding (see
@@ -34,7 +30,7 @@ type Record struct {
 
 // Pos is an opaque compaction position handed from Mark to Compact.
 // For the WAL it is a segment boundary ("the snapshot covers every
-// segment below this index"); for JSONFile it is a dirty-append count.
+// segment below this index").
 type Pos int64
 
 // Store is the pluggable durability engine.
@@ -50,7 +46,7 @@ type Pos int64
 // handshake is safe: the old snapshot + uncut log still replay to the
 // same state.
 type Store interface {
-	// Name identifies the backend ("json", "wal") for diagnostics.
+	// Name identifies the backend ("wal") for diagnostics.
 	Name() string
 	// Append durably adds the records as one atomic batch. When it
 	// returns nil the batch survives any subsequent crash (under the
